@@ -10,45 +10,12 @@
 
 open Cmdliner
 
-type engine =
-  | Cbq_engine
-  | Cbq_fwd
-  | Bdd_bwd
-  | Bdd_fwd
-  | Bmc_engine
-  | Induction_engine
-  | Cofactor
-  | Hybrid_engine
-  | Portfolio
-
-let engine_names =
-  [
-    ("cbq", Cbq_engine);
-    ("cbq-fwd", Cbq_fwd);
-    ("bdd-bwd", Bdd_bwd);
-    ("bdd-fwd", Bdd_fwd);
-    ("bmc", Bmc_engine);
-    ("induction", Induction_engine);
-    ("cofactor", Cofactor);
-    ("hybrid", Hybrid_engine);
-    ("portfolio", Portfolio);
-  ]
-
 let load_model circuit param aag =
   match aag with
   | Some path -> (Netlist.Aiger.read_file path, None)
   | None ->
     let model, status = Circuits.Registry.build circuit param in
     (model, Some status)
-
-let print_iterations_cbq result =
-  List.iter
-    (fun it ->
-      Format.printf "  iter %2d: frontier=%d reached=%d inputs eliminated=%d kept=%d (%.3fs)@."
-        it.Cbq.Reachability.index it.Cbq.Reachability.frontier_size
-        it.Cbq.Reachability.reached_size it.Cbq.Reachability.eliminated_inputs
-        it.Cbq.Reachability.kept_inputs it.Cbq.Reachability.seconds)
-    result.Cbq.Reachability.iterations
 
 let print_minimized model t =
   let essential = Cbq.Trace.minimize model t in
@@ -60,114 +27,56 @@ let print_minimized model t =
       Format.printf "@.")
     essential
 
-let run_engine ?(minimize = false) ?jobs ?(sweep_jobs = 1)
-    ?(quantify_backend = Cbq.Quantify.default.Cbq.Quantify.backend)
-    ?(make_limits = fun () -> Util.Limits.create ()) ~limits engine model verbose trace_wanted =
-  match engine with
-  | Cbq_engine | Cbq_fwd ->
-    let config = { Cbq.Reachability.default with make_trace = trace_wanted } in
-    let quant =
-      { config.Cbq.Reachability.quant with Cbq.Quantify.backend = quantify_backend }
-    in
-    let quant =
-      if sweep_jobs <= 1 then quant
-      else { quant with Cbq.Quantify.sweep = { quant.Cbq.Quantify.sweep with sat_jobs = sweep_jobs } }
-    in
-    let config = { config with quant } in
-    let r =
-      if engine = Cbq_fwd then Cbq.Forward.run ~config ~limits model
-      else Cbq.Reachability.run ~config ~limits model
-    in
-    Format.printf "%a@." Cbq.Reachability.pp_result r;
-    if verbose then print_iterations_cbq r;
-    (match r.Cbq.Reachability.verdict with
-    | Cbq.Reachability.Falsified { trace = Some t; _ } when trace_wanted ->
-      Format.printf "%a" (Cbq.Trace.pp model) t;
-      if minimize then print_minimized model t
-    | Cbq.Reachability.Proved -> (
-      match r.Cbq.Reachability.invariant with
-      | Some inv -> (
-        match Cbq.Certify.check model ~invariant:inv with
-        | Ok () ->
-          Format.printf "certificate: inductive invariant of %d AND nodes, independently checked@."
-            (Aig.size (Netlist.Model.aig model) inv)
-        | Error f -> Format.printf "certificate REJECTED: %a@." Cbq.Certify.pp_failure f)
-      | None -> Format.printf "certificate: none (partial quantification left residuals)@.")
-    | Cbq.Reachability.Falsified _ | Cbq.Reachability.Out_of_budget _ -> ());
-    (match r.Cbq.Reachability.verdict with
-    | Cbq.Reachability.Proved -> `Proved
-    | Cbq.Reachability.Falsified { depth; _ } -> `Falsified depth
-    | Cbq.Reachability.Out_of_budget _ -> `Undecided)
-  | Bdd_bwd | Bdd_fwd ->
-    let f = if engine = Bdd_bwd then Baselines.Bdd_mc.backward else Baselines.Bdd_mc.forward in
-    let r = f ~limits model in
-    Format.printf "%a@." Baselines.Bdd_mc.pp_result r;
-    if verbose then
-      List.iter
-        (fun it ->
-          Format.printf "  iter %2d: frontier-bdd=%d reached-bdd=%d@." it.Baselines.Bdd_mc.index
-            it.Baselines.Bdd_mc.frontier_nodes it.Baselines.Bdd_mc.reached_nodes)
-        r.Baselines.Bdd_mc.iterations;
-    (match r.Baselines.Bdd_mc.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
-  | Bmc_engine ->
-    let r = Baselines.Bmc.run ~limits model in
-    Format.printf "%a@." Baselines.Bmc.pp_result r;
-    (match r.Baselines.Bmc.trace with
-    | Some t when trace_wanted -> Format.printf "%a" (Cbq.Trace.pp model) t
-    | Some _ | None -> ());
-    (match r.Baselines.Bmc.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
-  | Induction_engine ->
-    let r = Baselines.Induction.run ~limits model in
-    Format.printf "%a@." Baselines.Induction.pp_result r;
-    (match r.Baselines.Induction.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
-  | Cofactor ->
-    let r = Baselines.Cofactor_preimage.run ~limits model in
-    Format.printf "%a@." Baselines.Cofactor_preimage.pp_result r;
-    (match r.Baselines.Cofactor_preimage.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
-  | Hybrid_engine ->
-    let r = Baselines.Hybrid.run ~limits model in
-    Format.printf "%a@." Baselines.Hybrid.pp_result r;
-    (match r.Baselines.Hybrid.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
-  | Portfolio ->
-    (* the shared governor is not handed to the racers: each entrant
-       gets its own cancellable governor from [make_limits] so the
-       winner can stop the losers without poisoning anything shared *)
-    ignore limits;
-    let config =
-      {
-        Baselines.Suite.default_config with
-        make_trace = trace_wanted;
-        quantify_backend;
-      }
-    in
-    let r = Baselines.Portfolio.run ~config ?jobs ~make_limits model in
-    Format.printf "%a@." Baselines.Portfolio.pp_result r;
-    (match r.Baselines.Portfolio.trace with
-    | Some t when trace_wanted ->
-      (* clones preserve numbering, so the winner's trace replays on the
-         original model *)
-      Format.printf "%a" (Cbq.Trace.pp model) t;
-      if minimize then print_minimized model t
-    | Some _ | None -> ());
-    (match r.Baselines.Portfolio.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
+(* User-facing failures — a malformed model file, an unwritable or empty
+   output path — end the command with one line on stderr and exit 2,
+   never an uncaught exception. *)
+let fail cmd msg =
+  Format.eprintf "cbq-mc %s: %s@." cmd msg;
+  exit 2
+
+let guard cmd f =
+  try f () with
+  | Netlist.Aiger.Parse_error { line; token; reason } ->
+    fail cmd (Printf.sprintf "malformed AIGER at line %d (token %S): %s" line token reason)
+  | Sys_error msg -> fail cmd msg
+
+(* Run one engine and print its report: the result line (and -v
+   iteration lines), then the counterexample under -t, or the checked
+   certificate of a proof. [portfolio] races the Suite engines under
+   [race_config]; every other name resolves through [Baselines.Suite]. *)
+let verify ~engine ~config ~race_config ?jobs ~make_limits ~limits ~verbose ~trace_wanted
+    ~minimize model =
+  let verdict, trace, invariant =
+    match Baselines.Suite.find ~config engine with
+    | Some e ->
+      let d = e.Baselines.Suite.detail ~limits model in
+      d.Baselines.Suite.pp ~verbose Format.std_formatter;
+      (d.Baselines.Suite.verdict, d.Baselines.Suite.trace, d.Baselines.Suite.invariant)
+    | None ->
+      (* [engine_conv] admits Suite names and [portfolio] only. The
+         shared governor is not handed to the racers: each entrant
+         gets its own cancellable governor from [make_limits] so the
+         winner can stop the losers without poisoning anything shared *)
+      let r = Baselines.Portfolio.run ~config:race_config ?jobs ~make_limits model in
+      Format.printf "%a@." Baselines.Portfolio.pp_result r;
+      (r.Baselines.Portfolio.verdict, r.Baselines.Portfolio.trace, None)
+  in
+  (match trace with
+  | Some t when trace_wanted ->
+    (* portfolio clones preserve numbering, so the winner's trace replays
+       on the original model *)
+    Format.printf "%a" (Cbq.Trace.pp model) t;
+    if minimize then print_minimized model t
+  | Some _ | None -> ());
+  Option.iter
+    (fun inv ->
+      match Cbq.Certify.check model ~invariant:inv with
+      | Ok () ->
+        Format.printf "certificate: inductive invariant of %d AND nodes, independently checked@."
+          (Aig.size (Netlist.Model.aig model) inv)
+      | Error f -> Format.printf "certificate REJECTED: %a@." Cbq.Certify.pp_failure f)
+    invariant;
+  verdict
 
 (* ---------- list ---------- *)
 
@@ -187,14 +96,31 @@ let param_arg =
 let aag_arg =
   Arg.(value & opt (some file) None & info [ "aag" ] ~docv:"FILE" ~doc:"verify an ASCII AIGER file instead")
 
+(* every name but [portfolio] resolves to its canonical Suite entry, so
+   an alias runs, reports and stores as the engine it names *)
+let engine_conv =
+  let accepted = Baselines.Suite.names @ List.map fst Baselines.Suite.aliases @ [ "portfolio" ] in
+  let parse s =
+    if s = "portfolio" then Ok s
+    else
+      match Baselines.Suite.canonical_name s with
+      | Some name -> Ok name
+      | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown engine %S (expected one of: %s)" s
+               (String.concat ", " accepted)))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let engine_arg =
   Arg.(
-    value
-    & opt (enum engine_names) Cbq_engine
+    value & opt engine_conv "cbq-bwd"
     & info [ "e"; "engine" ] ~docv:"ENGINE"
         ~doc:
-          "verification engine: cbq | cbq-fwd | bdd-bwd | bdd-fwd | bmc | induction | cofactor \
-           | hybrid | portfolio (race all of them, first decisive verdict wins)")
+          "verification engine: cbq (alias of cbq-bwd) | cbq-bwd | cbq-fwd | bdd-bwd | bdd-fwd \
+           | bmc | induction | cofactor | hybrid | portfolio (race all of them, first decisive \
+           verdict wins; $(b,run) only)")
 
 let jobs_arg =
   Arg.(
@@ -329,19 +255,17 @@ let store_opt_arg =
           "append the run report to the store at $(docv) (see $(b,cbq-mc report) for querying \
            stored runs)")
 
-let engine_name engine = fst (List.find (fun (_, e) -> e = engine) engine_names)
-
 let emit_stats ~stats ~stats_json ~store ~model ~engine ~quantify_backend ~watch ~limits
-    outcome =
+    verdict =
   Obs.meta "tool" "cbq-mc";
   Obs.meta "model" (Netlist.Model.name model);
-  Obs.meta "engine" (engine_name engine);
+  Obs.meta "engine" engine;
   Obs.meta "quantify_backend" (Cbq.Quantify.backend_name quantify_backend);
   Obs.meta "verdict"
-    (match outcome with
-    | `Proved -> "proved"
-    | `Falsified d -> Printf.sprintf "falsified:%d" d
-    | `Undecided -> "undecided");
+    (match verdict with
+    | Baselines.Verdict.Proved -> "proved"
+    | Baselines.Verdict.Falsified d -> Printf.sprintf "falsified:%d" d
+    | Baselines.Verdict.Undecided _ -> "undecided");
   (match Util.Limits.exhausted limits with
   | Some r -> Obs.meta "exhausted" (Util.Limits.resource_name r)
   | None -> ());
@@ -368,6 +292,10 @@ let run_cmd =
   let run circuit param aag engine jobs sweep_jobs quantify_backend verbose trace seq_sweep coi
       minimize stats stats_json trace_json progress sample_interval store timeout max_conflicts
       max_aig_nodes max_bdd_nodes =
+    guard "run" @@ fun () ->
+    List.iter
+      (fun (flag, path) -> if path = Some "" then fail "run" (flag ^ " needs a file name"))
+      [ ("--stats-json", stats_json); ("--trace-json", trace_json) ];
     (* --progress reads the sweep merge counters, --sample-interval and
        --store record them, so all three need the registry live even
        without --stats *)
@@ -398,7 +326,7 @@ let run_cmd =
     (* teardown must survive an engine exception: the sampler domain is
        joined (an unjoined domain outlives main) and the progress line
        is terminated so the trace doesn't land mid-line *)
-    let model, status, outcome =
+    let model, status, verdict =
       Fun.protect
         ~finally:(fun () ->
           Option.iter Obs.Sampler.stop sampler;
@@ -426,11 +354,25 @@ let run_cmd =
           let make_limits () =
             Util.Limits.create ?timeout ?max_conflicts ?max_aig_nodes ?max_bdd_nodes ()
           in
-          let outcome =
-            run_engine ~minimize ?jobs ~sweep_jobs ~quantify_backend ~make_limits ~limits
-              engine model verbose trace
+          (* a lone engine runs under the standalone BMC/induction bounds
+             and the --sweep-jobs domains; the race keeps the Suite
+             defaults and stays sequential inside each racer *)
+          let quant = { Cbq.Quantify.default with backend = quantify_backend } in
+          let race_config = { Baselines.Suite.default_config with make_trace = trace; quant } in
+          let quant =
+            if sweep_jobs <= 1 then quant
+            else
+              {
+                quant with
+                Cbq.Quantify.sweep = { quant.Cbq.Quantify.sweep with sat_jobs = sweep_jobs };
+              }
           in
-          (model, status, outcome))
+          let config = { Baselines.Suite.standalone_config with make_trace = trace; quant } in
+          let verdict =
+            verify ~engine ~config ~race_config ?jobs ~make_limits ~limits ~verbose
+              ~trace_wanted:trace ~minimize model
+          in
+          (model, status, verdict))
     in
     (match Util.Limits.exhausted limits with
     | Some r ->
@@ -439,7 +381,7 @@ let run_cmd =
     | None -> ());
     if want_stats then
       emit_stats ~stats ~stats_json ~store ~model ~engine ~quantify_backend ~watch ~limits
-        outcome;
+        verdict;
     (match trace_json with
     | Some path ->
       Obs.Trace_events.set_enabled false;
@@ -451,14 +393,18 @@ let run_cmd =
     | None ->
       (* under explicit resource limits an Undecided verdict is the
          documented graceful-degradation outcome, not a failure *)
-      if outcome = `Undecided && not (Util.Limits.is_limited limits) then exit 2 else exit 0
+      (match verdict with
+      | Baselines.Verdict.Undecided _ when not (Util.Limits.is_limited limits) -> exit 2
+      | _ -> exit 0)
     | Some expected ->
       let agrees =
-        match (outcome, expected) with
-        | `Proved, Circuits.Registry.Safe -> true
-        | `Falsified d, Circuits.Registry.Unsafe e -> d = e
-        | `Undecided, _ -> true
-        | `Proved, Circuits.Registry.Unsafe _ | `Falsified _, Circuits.Registry.Safe -> false
+        match (verdict, expected) with
+        | Baselines.Verdict.Proved, Circuits.Registry.Safe -> true
+        | Baselines.Verdict.Falsified d, Circuits.Registry.Unsafe e -> d = e
+        | Baselines.Verdict.Undecided _, _ -> true
+        | Baselines.Verdict.Proved, Circuits.Registry.Unsafe _
+        | Baselines.Verdict.Falsified _, Circuits.Registry.Safe ->
+          false
       in
       if not agrees then begin
         Format.printf "WARNING: verdict disagrees with the family oracle@.";
@@ -543,6 +489,7 @@ let reduce_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"write the reduced model as ascii AIGER")
   in
   let run circuit param aag out =
+    guard "reduce" @@ fun () ->
     let model, _ = load_model circuit param aag in
     Format.printf "model %s: %a@." (Netlist.Model.name model) Netlist.Model.pp_stats
       (Netlist.Model.stats model);
@@ -790,8 +737,15 @@ let report_store_arg =
 let model_filter_arg =
   Arg.(value & opt (some string) None & info [ "model" ] ~docv:"NAME" ~doc:"only runs of this model")
 
+(* stored runs carry canonical engine names, so an alias filters as the
+   engine it names; other names (portfolio, older stores) pass through *)
 let engine_filter_arg =
-  Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc:"only runs of this engine")
+  Term.(
+    const (Option.map (fun e -> Option.value (Baselines.Suite.canonical_name e) ~default:e))
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "engine" ] ~docv:"ENGINE" ~doc:"only runs of this engine"))
 
 let report_threshold_arg =
   Arg.(
@@ -1001,14 +955,6 @@ let connect_arg =
     & info [ "connect" ] ~docv:"ADDR"
         ~doc:"daemon address: $(b,unix:)PATH (default $(b,unix:cbq-mc.sock)) or $(b,tcp:)HOST:PORT")
 
-let serve_engine_arg =
-  Arg.(
-    value & opt string "cbq-bwd"
-    & info [ "e"; "engine" ] ~docv:"ENGINE"
-        ~doc:
-          (Printf.sprintf "engine to run on the server: %s"
-             (String.concat " | " Baselines.Suite.names)))
-
 let budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes =
   { Serve.Protocol.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes }
 
@@ -1104,6 +1050,7 @@ let submit_cmd =
   let doc = "submit one job to a running daemon and wait for the verdict" in
   let run connect circuit param aag engine quantify_backend progress timeout max_conflicts
       max_aig_nodes max_bdd_nodes =
+    guard "submit" @@ fun () ->
     let model, _status = load_model circuit param aag in
     let spec =
       {
@@ -1134,7 +1081,7 @@ let submit_cmd =
   in
   Cmd.v (Cmd.info "submit" ~doc)
     Term.(
-      const run $ connect_arg $ circuit_arg $ param_arg $ aag_arg $ serve_engine_arg
+      const run $ connect_arg $ circuit_arg $ param_arg $ aag_arg $ engine_arg
       $ serve_quantify_backend_arg $ progress_arg $ timeout_arg $ max_conflicts_arg
       $ max_aig_nodes_arg $ max_bdd_nodes_arg)
 
@@ -1182,7 +1129,7 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const run $ connect_arg $ dir_arg $ serve_engine_arg $ serve_quantify_backend_arg
+      const run $ connect_arg $ dir_arg $ engine_arg $ serve_quantify_backend_arg
       $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
 
 let ctl_cmd =

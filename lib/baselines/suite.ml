@@ -2,84 +2,109 @@ type config = {
   bmc_depth : int;
   induction_k : int;
   make_trace : bool;
-  quantify_backend : Cbq.Quantify.backend;
+  quant : Cbq.Quantify.config;
 }
 
 let default_config =
-  {
-    bmc_depth = 30;
-    induction_k = 25;
-    make_trace = true;
-    quantify_backend = Cbq.Quantify.default.Cbq.Quantify.backend;
-  }
+  { bmc_depth = 30; induction_k = 25; make_trace = true; quant = Cbq.Quantify.default }
+
+let standalone_config = { default_config with bmc_depth = 100; induction_k = 50 }
+
+type detail = {
+  verdict : Verdict.t;
+  trace : Cbq.Trace.t option;
+  invariant : Aig.lit option;
+  pp : verbose:bool -> Format.formatter -> unit;
+}
 
 type engine = {
   name : string;
   run : limits:Util.Limits.t -> Netlist.Model.t -> Verdict.t * Cbq.Trace.t option;
+  detail : limits:Util.Limits.t -> Netlist.Model.t -> detail;
 }
 
-let of_cbq = function
-  | Cbq.Reachability.Proved -> Verdict.Proved
-  | Cbq.Reachability.Falsified { depth; _ } -> Verdict.Falsified depth
-  | Cbq.Reachability.Out_of_budget { reason; _ } -> Verdict.Undecided reason
+(* the one place the anytime [run] view is derived from an engine's detail *)
+let engine name detail =
+  {
+    name;
+    detail;
+    run =
+      (fun ~limits m ->
+        let d = detail ~limits m in
+        (d.verdict, d.trace));
+  }
 
-let trace_of_cbq = function
-  | Cbq.Reachability.Falsified { trace; _ } -> trace
-  | Cbq.Reachability.Proved | Cbq.Reachability.Out_of_budget _ -> None
+(* an engine whose result has no per-iteration lines and no certificate *)
+let plain ~verdict ?trace pp_result r =
+  let pp ~verbose:_ ppf = Format.fprintf ppf "%a@." pp_result r in
+  { verdict; trace; invariant = None; pp }
+
+let cbq_detail (r : Cbq.Reachability.result) =
+  let pp ~verbose ppf =
+    Format.fprintf ppf "%a@." Cbq.Reachability.pp_result r;
+    if verbose then
+      List.iter
+        (fun (it : Cbq.Reachability.iteration) ->
+          Format.fprintf ppf
+            "  iter %2d: frontier=%d reached=%d inputs eliminated=%d kept=%d (%.3fs)@." it.index
+            it.frontier_size it.reached_size it.eliminated_inputs it.kept_inputs it.seconds)
+        r.iterations;
+    if r.verdict = Cbq.Reachability.Proved && r.invariant = None then
+      Format.fprintf ppf "certificate: none (partial quantification left residuals)@."
+  in
+  let verdict, trace =
+    match r.verdict with
+    | Cbq.Reachability.Proved -> (Verdict.Proved, None)
+    | Cbq.Reachability.Falsified { depth; trace } -> (Verdict.Falsified depth, trace)
+    | Cbq.Reachability.Out_of_budget { reason; _ } -> (Verdict.Undecided reason, None)
+  in
+  { verdict; trace; invariant = r.invariant; pp }
+
+let bdd_detail (r : Bdd_mc.result) =
+  let pp ~verbose ppf =
+    Format.fprintf ppf "%a@." Bdd_mc.pp_result r;
+    if verbose then
+      List.iter
+        (fun (it : Bdd_mc.iteration) ->
+          Format.fprintf ppf "  iter %2d: frontier-bdd=%d reached-bdd=%d@." it.index
+            it.frontier_nodes it.reached_nodes)
+        r.iterations
+  in
+  { verdict = r.verdict; trace = None; invariant = None; pp }
 
 let engines ?(config = default_config) () =
   let cbq_config =
-    {
-      Cbq.Reachability.default with
-      make_trace = config.make_trace;
-      quant = { Cbq.Quantify.default with backend = config.quantify_backend };
-    }
+    { Cbq.Reachability.default with make_trace = config.make_trace; quant = config.quant }
   in
   [
-    {
-      name = "cbq-bwd";
-      run =
-        (fun ~limits m ->
-          let r = Cbq.Reachability.run ~config:cbq_config ~limits m in
-          (of_cbq r.Cbq.Reachability.verdict, trace_of_cbq r.Cbq.Reachability.verdict));
-    };
-    {
-      name = "cbq-fwd";
-      run =
-        (fun ~limits m ->
-          let r = Cbq.Forward.run ~config:cbq_config ~limits m in
-          (of_cbq r.Cbq.Reachability.verdict, trace_of_cbq r.Cbq.Reachability.verdict));
-    };
-    {
-      name = "bdd-bwd";
-      run = (fun ~limits m -> ((Bdd_mc.backward ~limits m).Bdd_mc.verdict, None));
-    };
-    {
-      name = "bdd-fwd";
-      run = (fun ~limits m -> ((Bdd_mc.forward ~limits m).Bdd_mc.verdict, None));
-    };
-    {
-      name = "bmc";
-      run =
-        (fun ~limits m ->
-          let r = Bmc.run ~max_depth:config.bmc_depth ~limits m in
-          (r.Bmc.verdict, r.Bmc.trace));
-    };
-    {
-      name = "induction";
-      run =
-        (fun ~limits m ->
-          let r = Induction.run ~max_k:config.induction_k ~limits m in
-          (r.Induction.verdict, r.Induction.trace));
-    };
-    {
-      name = "cofactor";
-      run =
-        (fun ~limits m -> ((Cofactor_preimage.run ~limits m).Cofactor_preimage.verdict, None));
-    };
-    { name = "hybrid"; run = (fun ~limits m -> ((Hybrid.run ~limits m).Hybrid.verdict, None)) };
+    engine "cbq-bwd" (fun ~limits m ->
+        cbq_detail (Cbq.Reachability.run ~config:cbq_config ~limits m));
+    engine "cbq-fwd" (fun ~limits m -> cbq_detail (Cbq.Forward.run ~config:cbq_config ~limits m));
+    engine "bdd-bwd" (fun ~limits m -> bdd_detail (Bdd_mc.backward ~limits m));
+    engine "bdd-fwd" (fun ~limits m -> bdd_detail (Bdd_mc.forward ~limits m));
+    engine "bmc" (fun ~limits m ->
+        let r = Bmc.run ~max_depth:config.bmc_depth ~limits m in
+        plain ~verdict:r.Bmc.verdict ?trace:r.Bmc.trace Bmc.pp_result r);
+    engine "induction" (fun ~limits m ->
+        let r = Induction.run ~max_k:config.induction_k ~limits m in
+        plain ~verdict:r.Induction.verdict ?trace:r.Induction.trace Induction.pp_result r);
+    engine "cofactor" (fun ~limits m ->
+        let r = Cofactor_preimage.run ~limits m in
+        plain ~verdict:r.Cofactor_preimage.verdict Cofactor_preimage.pp_result r);
+    engine "hybrid" (fun ~limits m ->
+        let r = Hybrid.run ~limits m in
+        plain ~verdict:r.Hybrid.verdict Hybrid.pp_result r);
   ]
 
 let names = List.map (fun e -> e.name) (engines ())
 
-let find ?config name = List.find_opt (fun e -> e.name = name) (engines ?config ())
+(* accepted spellings that are not table entries *)
+let aliases = [ ("cbq", "cbq-bwd") ]
+
+let canonical_name name =
+  let name = Option.value (List.assoc_opt name aliases) ~default:name in
+  if List.mem name names then Some name else None
+
+let find ?config name =
+  Option.bind (canonical_name name) (fun name ->
+      List.find_opt (fun e -> e.name = name) (engines ?config ()))

@@ -10,8 +10,11 @@
     eliminated from the relational product circuit. Partial quantification
     carries residual variables exactly as in the backward engine.
 
-    Shares the result/verdict/config types of {!Reachability}; the
-    [sweep_frontier] and [use_reached_dc] options apply unchanged. *)
+    Runs on the frame loop of {!Reachability.traverse}: this module only
+    contributes the primed variables, the transition relation and the
+    image step, so the result/verdict/config types, the
+    [sweep_frontier] and [use_reached_dc] options, the depth scan and
+    the [reach.*] telemetry are the backward engine's. *)
 
 (** [run ?config ?limits m] — forward traversal from the initial states
     until a bad state is hit or a fix-point proves the property.

@@ -48,11 +48,6 @@ type result = {
      mirrored into the run report as the [quantify.aborted_vars] meta. *)
 }
 
-(** Sort/dedup an aborted-variable accumulation, publish it as the
-    [quantify.aborted_vars] report meta when nonempty, and return it.
-    Shared by both traversal directions. *)
-val record_aborted_vars : Aig.var list -> Aig.var list
-
 type config = {
   quant : Quantify.config;
   max_iterations : int;
@@ -84,3 +79,47 @@ val pp_result : Format.formatter -> result -> unit
     naming the tripped resource unless the run already holds a definite
     answer. *)
 val run : ?config:config -> ?limits:Util.Limits.t -> Netlist.Model.t -> result
+
+(** {2 The shared frame loop}
+
+    Both traversal directions ({!run} backward, {!Forward.run} forward)
+    are one loop over a {!direction}: apply the step to the frontier,
+    test the result against the target set, test for a fix-point, then
+    stop or continue on the onion ring. The loop owns everything else —
+    governor polls, residual-variable renaming, the reached-set
+    don't-care, the counterexample-depth scan, certificates and the
+    [reach.*] telemetry. *)
+
+(** What a direction is built from: the run's AIG manager, shared SAT
+    checker, PRNG and pattern bank, the initial states and the bad states
+    (property inputs already quantified). *)
+type env = {
+  aig : Aig.t;
+  checker : Cnf.Checker.t;
+  prng : Util.Prng.t;
+  bank : Sweep.Pattern_bank.t;
+  init : Aig.lit;
+  bad : Aig.lit;
+}
+
+type direction = {
+  start : Aig.lit;  (** first frontier and reached set *)
+  target : Aig.lit;  (** a frame intersecting it falsifies the property *)
+  step : Aig.lit -> aux:Aig.var list -> Quantify.result;
+      (** image or pre-image of a frontier; [aux] are the residual
+          variables earlier frames renamed, to be retried *)
+  renamed : Aig.var -> bool;
+      (** which residual variables of a step would collide with the next
+          frame's variables and get renamed to private ones *)
+  relabel : Aig.lit -> Aig.lit;
+      (** maps a renamed step result onto current-state variables *)
+  invariant_of : Aig.lit -> Aig.lit;
+      (** the inductive invariant a closed, residual-free reached set
+          certifies *)
+}
+
+(** [traverse ?config ?limits m make_direction] — run the frame loop
+    over the direction [make_direction] builds for this run. Same
+    contract as {!run}. *)
+val traverse :
+  ?config:config -> ?limits:Util.Limits.t -> Netlist.Model.t -> (env -> direction) -> result

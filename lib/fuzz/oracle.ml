@@ -96,7 +96,7 @@ let suite_config config =
     Baselines.Suite.bmc_depth = config.bmc_depth;
     induction_k = config.induction_k;
     make_trace = config.check_traces;
-    quantify_backend = config.quantify_backend;
+    quant = { Cbq.Quantify.default with backend = config.quantify_backend };
   }
 
 let engines config =

@@ -279,7 +279,7 @@ let submit t ~tag:_ ~model_name ~aig ~engine ~quantify_backend ~budget ~emit =
     let config =
       match backend with
       | None -> t.config
-      | Some quantify_backend -> { t.config with Baselines.Suite.quantify_backend }
+      | Some backend -> { t.config with quant = { t.config.Baselines.Suite.quant with backend } }
     in
     match Baselines.Suite.find ~config engine with
     | None ->

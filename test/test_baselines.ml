@@ -245,10 +245,60 @@ let test_hybrid_division_of_labour () =
         (it.Baselines.Hybrid.eliminated_by_cbq + it.Baselines.Hybrid.enumerated <= n_inputs))
     r.Baselines.Hybrid.iterations
 
+(* ---------- the engine table ---------- *)
+
+let test_suite_alias () =
+  check
+    (Alcotest.list Alcotest.string)
+    "canonical table, in order"
+    [ "cbq-bwd"; "cbq-fwd"; "bdd-bwd"; "bdd-fwd"; "bmc"; "induction"; "cofactor"; "hybrid" ]
+    Baselines.Suite.names;
+  check bool "alias not listed" false (List.mem "cbq" Baselines.Suite.names);
+  (match Baselines.Suite.find "cbq" with
+  | Some e -> check Alcotest.string "cbq resolves to" "cbq-bwd" e.Baselines.Suite.name
+  | None -> Alcotest.fail "cbq alias must resolve");
+  check bool "unknown name" true (Baselines.Suite.find "warp-drive" = None);
+  check bool "portfolio is not a table entry" true (Baselines.Suite.find "portfolio" = None)
+
+(* the lone-engine bounds and the race/serve bounds differ on purpose:
+   BMC reaches counter(5)'s depth-31 counterexample only under the
+   former *)
+let test_suite_bounds () =
+  let bmc_on config =
+    let model, _ = Circuits.Registry.build "counter" (Some 5) in
+    let e = Option.get (Baselines.Suite.find ~config "bmc") in
+    fst (e.Baselines.Suite.run ~limits:(Util.Limits.create ()) model)
+  in
+  check verdict_t "standalone bmc falsifies at 31" (Baselines.Verdict.Falsified 31)
+    (bmc_on Baselines.Suite.standalone_config);
+  check verdict_t "default bmc stops at bound 30" (Baselines.Verdict.Undecided "bound 30")
+    (bmc_on Baselines.Suite.default_config)
+
+(* [run] is [detail] without the printer: same verdict, same trace, and
+   the printed report starts with the verdict *)
+let test_suite_detail () =
+  List.iter
+    (fun (e : Baselines.Suite.engine) ->
+      let fresh () = fst (Circuits.Registry.build "fifo-buggy" (Some 2)) in
+      let v, t = e.run ~limits:(Util.Limits.create ()) (fresh ()) in
+      let d = e.detail ~limits:(Util.Limits.create ()) (fresh ()) in
+      check verdict_t (e.name ^ " verdict") v d.Baselines.Suite.verdict;
+      check bool (e.name ^ " trace") (t <> None) (d.Baselines.Suite.trace <> None);
+      let printed = Format.asprintf "%t" (d.Baselines.Suite.pp ~verbose:true) in
+      check bool (e.name ^ " report line") true
+        (String.length printed > 9 && String.sub printed 0 9 = "FALSIFIED"))
+    (Baselines.Suite.engines ())
+
 let () =
   Alcotest.run "baselines"
     [
       ("verdict", [ Alcotest.test_case "oracle agreement" `Quick test_verdict_helpers ]);
+      ( "suite",
+        [
+          Alcotest.test_case "cbq alias" `Quick test_suite_alias;
+          Alcotest.test_case "standalone vs default bounds" `Quick test_suite_bounds;
+          Alcotest.test_case "detail agrees with run" `Quick test_suite_detail;
+        ] );
       ( "bdd",
         [
           Alcotest.test_case "backward vs oracles" `Slow test_bdd_backward_oracles;

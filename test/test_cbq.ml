@@ -363,6 +363,125 @@ let test_reachability_iteration_limit () =
   | Cbq.Reachability.Out_of_budget _ -> ()
   | v -> Alcotest.fail (Format.asprintf "expected budget exhaustion, got %a" Cbq.Reachability.pp_verdict v)
 
+(* ---------- pinned traversal behaviour, both directions ----------
+
+   Per-frame values of the shared frame loop, pinned so that any change
+   to the loop that moves one of them shows up: verdict and depth, frame
+   count, per-frame (frontier_size, eliminated_inputs, kept_inputs), SAT
+   queries, and whether an invariant ships. [`Tight] forces partial
+   quantification (residual renaming); [`Dc] turns on the reached-set
+   don't-care, whose falsifications go through the depth scan. *)
+
+let tight_quant = { Cbq.Quantify.default with growth_limit = 1.0; growth_slack = 0 }
+
+let pinned_traversals =
+  [
+    (`Bwd, "counter", 3, `Default, `Falsified 7, 33, false,
+     [(8, 1, 0); (12, 1, 0); (15, 1, 0); (13, 1, 0); (16, 1, 0); (12, 1, 0); (16, 1, 0)]);
+    (`Fwd, "counter", 3, `Default, `Falsified 7, 24, false,
+     [(5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0)]);
+    (`Bwd, "fifo-buggy", 2, `Default, `Falsified 5, 111, false,
+     [(0, 2, 0); (7, 2, 0); (17, 2, 0); (20, 2, 0); (2, 2, 0)]);
+    (`Fwd, "fifo-buggy", 2, `Default, `Falsified 5, 60, false,
+     [(5, 5, 0); (8, 5, 0); (8, 5, 0); (8, 5, 0); (8, 5, 0)]);
+    (`Bwd, "gray", 3, `Default, `Proved, 3, true,
+     [(0, 1, 0)]);
+    (`Fwd, "gray", 3, `Default, `Proved, 237, true,
+     [(11, 7, 0); (11, 7, 0); (20, 7, 0); (21, 7, 0); (16, 7, 0); (21, 7, 0); (20, 7, 0);
+      (21, 7, 0); (16, 7, 0)]);
+    (`Bwd, "counter-even", 4, `Default, `Proved, 3, true,
+     [(0, 1, 0)]);
+    (`Fwd, "counter-even", 4, `Default, `Proved, 32, true,
+     [(7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0)]);
+    (`Bwd, "shift-pattern", 4, `Default, `Falsified 4, 9, false,
+     [(2, 1, 0); (1, 1, 0); (3, 1, 0); (1, 1, 0)]);
+    (`Fwd, "shift-pattern", 4, `Default, `Falsified 4, 36, false,
+     [(7, 5, 0); (7, 5, 0); (15, 5, 0); (0, 5, 0)]);
+    (`Bwd, "twin-shift", 4, `Default, `Proved, 3, true,
+     [(11, 0, 0)]);
+    (`Fwd, "twin-shift", 4, `Default, `Proved, 423, true,
+     [(15, 9, 0); (15, 9, 0); (31, 9, 0); (59, 9, 0); (107, 9, 0)]);
+    (`Bwd, "arbiter", 3, `Default, `Proved, 33, true,
+     [(4, 3, 0); (4, 3, 0)]);
+    (`Fwd, "arbiter", 3, `Default, `Proved, 104, true,
+     [(9, 9, 0); (8, 9, 0); (4, 9, 0); (9, 9, 0)]);
+    (`Bwd, "fifo", 2, `Default, `Proved, 9, true,
+     [(2, 2, 0)]);
+    (`Fwd, "fifo", 2, `Default, `Proved, 57, true,
+     [(5, 5, 0); (8, 5, 0); (8, 5, 0); (8, 5, 0); (5, 5, 0)]);
+    (`Bwd, "lfsr", 4, `Default, `Proved, 5, true,
+     [(3, 1, 0)]);
+    (`Fwd, "lfsr", 4, `Default, `Proved, 83, true,
+     [(7, 5, 0); (6, 5, 0); (2, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0);
+      (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (6, 5, 0); (7, 5, 0)]);
+    (`Bwd, "accumulator", 3, `Tight, `Falsified 3, 9, false,
+     [(15, 0, 2); (31, 0, 4); (63, 0, 6)]);
+    (`Fwd, "accumulator", 3, `Tight, `Falsified 3, 135, false,
+     [(8, 3, 2); (31, 2, 5); (56, 3, 7)]);
+    (`Bwd, "gray", 3, `Tight, `Proved, 3, true,
+     [(0, 1, 0)]);
+    (`Fwd, "gray", 3, `Tight, `Proved, 867, true,
+     [(8, 6, 1); (11, 7, 1); (17, 7, 1); (27, 7, 1); (35, 7, 1); (56, 8, 0); (74, 7, 0);
+      (23, 6, 1); (16, 8, 0); (35, 7, 0); (15, 7, 0); (17, 7, 0); (19, 7, 0)]);
+    (`Fwd, "counter", 3, `Dc, `Falsified 7, 65, false,
+     [(2, 4, 0); (2, 4, 0); (0, 4, 0); (1, 4, 0); (0, 4, 0); (0, 4, 0); (0, 4, 0)]);
+    (`Fwd, "fifo-buggy", 2, `Dc, `Falsified 5, 108, false,
+     [(2, 5, 0); (2, 5, 0); (0, 5, 0); (1, 5, 0); (0, 5, 0)]);
+    (`Bwd, "fifo-buggy", 2, `Dc, `Falsified 5, 145, false,
+     [(0, 2, 0); (1, 2, 0); (0, 2, 0); (0, 2, 0); (0, 2, 0)]);
+  ]
+
+let test_pinned_traversals () =
+  List.iter
+    (fun (dir, family, param, variant, verdict, sat_queries, has_invariant, frames) ->
+      let model, _ = Circuits.Registry.build family (Some param) in
+      let config =
+        match variant with
+        | `Default -> Cbq.Reachability.default
+        | `Tight -> { Cbq.Reachability.default with quant = tight_quant }
+        | `Dc -> { Cbq.Reachability.default with use_reached_dc = true }
+      in
+      let run = match dir with `Bwd -> Cbq.Reachability.run | `Fwd -> Cbq.Forward.run in
+      let r = run ~config model in
+      let name =
+        Printf.sprintf "%s %s %d%s"
+          (match dir with `Bwd -> "bwd" | `Fwd -> "fwd")
+          family param
+          (match variant with `Default -> "" | `Tight -> " tight" | `Dc -> " dc")
+      in
+      let iterations = r.Cbq.Reachability.iterations in
+      (match (r.Cbq.Reachability.verdict, verdict) with
+      | Cbq.Reachability.Proved, `Proved -> ()
+      | Cbq.Reachability.Falsified { depth; trace }, `Falsified expected ->
+        check int (name ^ " depth") expected depth;
+        (match trace with
+        | Some t -> check bool (name ^ " trace valid") true (Cbq.Trace.check model t)
+        | None -> Alcotest.fail (name ^ ": missing trace"));
+        (* the terminating frame hit the target before its union: it
+           reports the reached set it started from *)
+        (match List.rev iterations with
+        | last :: prev :: _ ->
+          check int (name ^ " hit frame reached size") prev.Cbq.Reachability.reached_size
+            last.Cbq.Reachability.reached_size
+        | [ _ ] | [] -> ())
+      | v, _ ->
+        Alcotest.fail
+          (Format.asprintf "%s: unexpected verdict %a" name Cbq.Reachability.pp_verdict v));
+      check int (name ^ " frames") (List.length frames) (List.length iterations);
+      check
+        (Alcotest.list (Alcotest.triple int int int))
+        (name ^ " per-frame frontier/eliminated/kept")
+        frames
+        (List.map
+           (fun it ->
+             ( it.Cbq.Reachability.frontier_size,
+               it.Cbq.Reachability.eliminated_inputs,
+               it.Cbq.Reachability.kept_inputs ))
+           iterations);
+      check int (name ^ " sat queries") sat_queries r.Cbq.Reachability.sat_queries;
+      check bool (name ^ " invariant") has_invariant (r.Cbq.Reachability.invariant <> None))
+    pinned_traversals
+
 let () =
   Alcotest.run "cbq"
     [
@@ -398,5 +517,6 @@ let () =
           Alcotest.test_case "naive quantification variant" `Quick
             test_reachability_naive_variant;
           Alcotest.test_case "iteration limit" `Quick test_reachability_iteration_limit;
+          Alcotest.test_case "pinned frames, both directions" `Quick test_pinned_traversals;
         ] );
     ]

@@ -407,6 +407,35 @@ let store_after_batch () =
       | Error msg -> Alcotest.fail msg)
     entries
 
+(* ---------- engine aliases ---------- *)
+
+(* the daemon resolves engine names through the Suite table: the [cbq]
+   alias is accepted and stored under the canonical [cbq-bwd], so CLI and
+   serve runs of one engine group together in the store *)
+let alias_submit () =
+  with_dir @@ fun dir ->
+  let store = Obs.Store.open_ dir in
+  (with_server ~jobs:1 ~store @@ fun _server address ->
+   let c = connect address in
+   Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+   match Serve.Client.submit_wait c (spec ~engine:"cbq" ~tag:"alias" "counter" 2) with
+   | Serve.Client.Finished { verdict = Baselines.Verdict.Falsified 3; report = Some _; _ } -> ()
+   | Serve.Client.Finished _ -> Alcotest.fail "cbq on counter(2) must falsify at depth 3, stored"
+   | Serve.Client.Crashed { message; _ } -> Alcotest.fail message
+   | Serve.Client.Refused { reason } -> Alcotest.fail ("alias refused: " ^ reason));
+  let reopened = Obs.Store.open_ dir in
+  match Obs.Store.entries reopened with
+  | [ e ] -> (
+    check string "engine column" "cbq-bwd" e.Obs.Store.engine;
+    match Obs.Store.load reopened e.Obs.Store.id with
+    | Ok (_, report) -> (
+      match Option.bind (Obs.Json.member "meta" report) (Obs.Json.member "engine") with
+      | Some (Obs.Json.String name) -> check string "engine meta" "cbq-bwd" name
+      | _ -> Alcotest.fail "stored report must name its engine")
+    | Error msg -> Alcotest.fail msg)
+  | entries ->
+    Alcotest.fail (Printf.sprintf "expected exactly one stored run, found %d" (List.length entries))
+
 let () =
   Alcotest.run "serve"
     [
@@ -421,6 +450,8 @@ let () =
         [
           Alcotest.test_case "batch verdicts match sequential" `Quick batch_matches_sequential;
           Alcotest.test_case "bad submits are refused" `Quick submit_rejections;
+          Alcotest.test_case "engine alias is accepted and stored canonically" `Quick
+            alias_submit;
           Alcotest.test_case "explicit cancel" `Quick explicit_cancel;
           Alcotest.test_case "client disconnect cancels its job" `Quick disconnect_cancels;
           Alcotest.test_case "server ceiling caps the client budget" `Quick ceiling_caps_budget;
