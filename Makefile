@@ -25,7 +25,7 @@ test:
 	dune runtest
 
 bench:
-	dune exec bench/main.exe -- --quick
+	dune exec bench/bench.exe -- --quick
 
 doc:
 	dune build @doc

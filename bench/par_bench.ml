@@ -1,14 +1,14 @@
-(* Multicore-layer benchmark: portfolio racing vs every fixed engine,
+(* Multicore-layer row: portfolio racing vs every fixed engine,
    parallel SAT-merge sweeping, and the sharded fuzz campaign.
 
    Usage:
-     dune exec bench/par_bench.exe
-     dune exec bench/par_bench.exe -- --quick
-     dune exec bench/par_bench.exe -- --jobs=4 --timeout=2
-     dune exec bench/par_bench.exe -- --probe
+     dune exec bench/bench.exe -- par
+     dune exec bench/bench.exe -- --quick par
+     dune exec bench/bench.exe -- --jobs=4 --timeout=2 par
+     dune exec bench/bench.exe -- par-probe
                   -- engine-vs-family grid over the whole registry, for
                      choosing adversarial portfolio family sets
-     dune exec bench/par_bench.exe -- --stats-dir=DIR
+     dune exec bench/bench.exe -- --stats-dir=DIR par
                   -- writes DIR/BENCH_par.json, gateable by
                      cbq-bench-regress against bench/baseline-par
 
@@ -25,41 +25,13 @@
    the governor budget, so runner speed cannot flip it. Raw seconds
    live in spans, which the regress gate ignores.
 
-   The bench exits non-zero when any portfolio verdict disagrees with
-   the registry oracle, when parallel sweeping changes an equivalence
-   class, or when the sharded campaign diverges from the sequential one
-   — so CI can use it as a correctness smoke as well as a perf gate. *)
+   The row fails (the harness exits non-zero) when any portfolio verdict
+   disagrees with the registry oracle, when parallel sweeping changes an
+   equivalence class, or when the sharded campaign diverges from the
+   sequential one — so CI can use it as a correctness smoke as well as a
+   perf gate. *)
 
-let quick = ref false
-let stats_dir : string option ref = ref None
-let probe = ref false
-let jobs = ref 4
-let budget = ref 2.0
-let failed = ref false
-
-let () =
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match arg with
-        | "--quick" -> quick := true
-        | "--probe" -> probe := true
-        | s when String.length s > 12 && String.sub s 0 12 = "--stats-dir=" ->
-          stats_dir := Some (String.sub s 12 (String.length s - 12))
-        | s when String.length s > 7 && String.sub s 0 7 = "--jobs=" ->
-          jobs := int_of_string (String.sub s 7 (String.length s - 7))
-        | s when String.length s > 10 && String.sub s 0 10 = "--timeout=" ->
-          budget := float_of_string (String.sub s 10 (String.length s - 10))
-        | s ->
-          Printf.eprintf "par_bench: unknown argument %S\n" s;
-          exit 2)
-    Sys.argv
-
-let line fmt = Format.printf fmt
-
-let fail fmt =
-  failed := true;
-  Format.kasprintf (fun s -> Format.eprintf "par_bench: FAIL: %s@." s) fmt
+open Harness
 
 let c name = Obs.counter ("parbench." ^ name)
 let span name dt = Obs.add_seconds (Obs.span ("parbench." ^ name)) dt
@@ -72,10 +44,10 @@ let decided = function
   | Baselines.Verdict.Undecided _ -> false
 
 (* one governed fixed-engine run on its own clone; charged PAR-style *)
-let fixed_run (e : Baselines.Suite.engine) m =
-  let limits = Util.Limits.create ~timeout:!budget () in
+let fixed_run o (e : Baselines.Suite.engine) m =
+  let limits = Util.Limits.create ~timeout:o.timeout () in
   let (v, _), dt = Util.Stopwatch.time (fun () -> e.run ~limits (Par.Clone.model m)) in
-  (v, dt, if decided v then dt else !budget)
+  (v, dt, if decided v then dt else o.timeout)
 
 (* ---------------- probe: engine-vs-family grid ---------------- *)
 
@@ -88,15 +60,15 @@ let probe_families =
     ("mult-cmp", Some 10); ("mult-cmp", Some 12); ("mult-bug", Some 12);
   ]
 
-let run_probe () =
-  line "engine-vs-family grid (budget %.1fs, charged = wall or budget when undecided)@." !budget;
+let run_probe o =
+  line "engine-vs-family grid (budget %.1fs, charged = wall or budget when undecided)@." o.timeout;
   List.iter
     (fun (name, param) ->
       let m, _ = Circuits.Registry.build name param in
       line "@.%s:@." (Netlist.Model.name m);
       List.iter
         (fun (e : Baselines.Suite.engine) ->
-          let v, dt, charged = fixed_run e m in
+          let v, dt, charged = fixed_run o e m in
           line "  %-10s %-18s %7.3fs charged %7.3fs@." e.name
             (Format.asprintf "%a" Baselines.Verdict.pp v)
             dt charged)
@@ -131,8 +103,8 @@ let portfolio_families () =
 let racing_order =
   [ "bmc"; "induction"; "bdd-bwd"; "bdd-fwd"; "cbq-bwd"; "cbq-fwd"; "cofactor"; "hybrid" ]
 
-let run_portfolio () =
-  line "@.=== portfolio racing vs fixed engines (jobs=%d, budget %.1fs/run) ===@." !jobs !budget;
+let run_portfolio o =
+  line "@.=== portfolio racing vs fixed engines (jobs=%d, budget %.1fs/run) ===@." o.jobs o.timeout;
   let families = portfolio_families () in
   let es = engines () in
   let totals = Hashtbl.create 16 in
@@ -145,18 +117,18 @@ let run_portfolio () =
       let fname = Netlist.Model.name m in
       List.iter
         (fun (e : Baselines.Suite.engine) ->
-          let v, _, charged = fixed_run e m in
+          let v, _, charged = fixed_run o e m in
           Hashtbl.replace totals e.name (Hashtbl.find totals e.name +. charged);
           line "%-14s %-12s %-16s %9.3f@." fname e.name
             (Format.asprintf "%a" Baselines.Verdict.pp v)
             charged)
         es;
       let r =
-        Baselines.Portfolio.run ~config:suite_config ~engines:racing_order ~jobs:!jobs
-          ~make_limits:(fun () -> Util.Limits.create ~timeout:!budget ())
+        Baselines.Portfolio.run ~config:suite_config ~engines:racing_order ~jobs:o.jobs
+          ~make_limits:(fun () -> Util.Limits.create ~timeout:o.timeout ())
           m
       in
-      let charged = if decided r.Baselines.Portfolio.verdict then r.Baselines.Portfolio.seconds else !budget in
+      let charged = if decided r.Baselines.Portfolio.verdict then r.Baselines.Portfolio.seconds else o.timeout in
       portfolio_total := !portfolio_total +. charged;
       span ("portfolio." ^ fname ^ ".time") r.Baselines.Portfolio.seconds;
       line "%-14s %-12s %-16s %9.3f  (winner %s)@." fname "PORTFOLIO"
@@ -201,8 +173,8 @@ let run_portfolio () =
    has a semantically equal twin that only a SAT query can merge; one
    thin simulation word keeps the candidate classes coarse so a large
    batch of cross-pairs reaches the parallel SAT stage *)
-let sweep_workload () =
-  let m = Circuits.Families.mult_cmp ~bits:(if !quick then 5 else 7) () in
+let sweep_workload o =
+  let m = Circuits.Families.mult_cmp ~bits:(if o.quick then 5 else 7) () in
   let aig = Netlist.Model.aig m in
   (aig, [ Aig.not_ m.Netlist.Model.property ])
 
@@ -217,17 +189,17 @@ let sweep_once ~sat_jobs aig roots =
   in
   (List.init (Aig.num_nodes aig) repl, report, dt)
 
-let run_sweep () =
-  line "@.=== parallel SAT-merge sweeping (sat_jobs 1 vs %d) ===@." !jobs;
-  let aig, roots = sweep_workload () in
+let run_sweep o =
+  line "@.=== parallel SAT-merge sweeping (sat_jobs 1 vs %d) ===@." o.jobs;
+  let aig, roots = sweep_workload o in
   let aig_par = Aig.copy aig in
   let seq_repl, seq_report, seq_dt = sweep_once ~sat_jobs:1 aig roots in
-  let par_repl, par_report, par_dt = sweep_once ~sat_jobs:!jobs aig_par roots in
+  let par_repl, par_report, par_dt = sweep_once ~sat_jobs:o.jobs aig_par roots in
   line "%-10s %9s %9s %9s %9s@." "mode" "merges" "sat-calls" "refuted" "time(s)";
   line "%-10s %9d %9d %9d %9.4f@." "seq" seq_report.Sweep.Sweeper.total_merges
     seq_report.Sweep.Sweeper.sat_calls seq_report.Sweep.Sweeper.sat_refuted seq_dt;
   line "%-10s %9d %9d %9d %9.4f@."
-    (Printf.sprintf "par(%d)" !jobs)
+    (Printf.sprintf "par(%d)" o.jobs)
     par_report.Sweep.Sweeper.total_merges par_report.Sweep.Sweeper.sat_calls
     par_report.Sweep.Sweeper.sat_refuted par_dt;
   Obs.add (c "sweep.merges") par_report.Sweep.Sweeper.total_merges;
@@ -237,52 +209,45 @@ let run_sweep () =
   span "sweep.par.time" par_dt;
   if seq_repl = par_repl && seq_report.Sweep.Sweeper.total_merges = par_report.Sweep.Sweeper.total_merges
   then Obs.incr (c "sweep.classes_equal")
-  else fail "parallel sweep changed the merge classes (sat_jobs=%d)" !jobs
+  else fail "parallel sweep changed the merge classes (sat_jobs=%d)" o.jobs
 
 (* ---------------- sharded fuzz row ---------------- *)
 
-let run_fuzz () =
-  let count = if !quick then 60 else 120 in
-  line "@.=== sharded fuzz campaign (seed 42, %d models, jobs 1 vs %d) ===@." count !jobs;
+let run_fuzz o =
+  let count = if o.quick then 60 else 120 in
+  line "@.=== sharded fuzz campaign (seed 42, %d models, jobs 1 vs %d) ===@." count o.jobs;
   let campaign j =
     Sweep.Fault.with_injection (fun () ->
         Util.Stopwatch.time (fun () ->
             Fuzz.Runner.run ~shrink:false ~jobs:j ~seed:42 ~count ()))
   in
   let seq, seq_dt = campaign 1 in
-  let par, par_dt = campaign !jobs in
+  let par, par_dt = campaign o.jobs in
   let seeds (r : Fuzz.Runner.result) =
     List.map (fun f -> f.Fuzz.Runner.seed) r.Fuzz.Runner.failures
   in
   line "%-10s %9s %9s@." "mode" "failures" "time(s)";
   line "%-10s %9d %9.3f@." "seq" (List.length (seeds seq)) seq_dt;
-  line "%-10s %9d %9.3f@." (Printf.sprintf "par(%d)" !jobs) (List.length (seeds par)) par_dt;
+  line "%-10s %9d %9.3f@." (Printf.sprintf "par(%d)" o.jobs) (List.length (seeds par)) par_dt;
   Obs.add (c "fuzz.failures") (List.length (seeds par));
   span "fuzz.seq.time" seq_dt;
   span "fuzz.par.time" par_dt;
   if seeds seq = seeds par then Obs.incr (c "fuzz.match")
-  else fail "sharded campaign diverged from the sequential one (jobs=%d)" !jobs
+  else fail "sharded campaign diverged from the sequential one (jobs=%d)" o.jobs
 
-let () =
-  if !probe then run_probe ()
-  else begin
-    (match !stats_dir with
-    | None -> ()
-    | Some dir ->
-      Util.Fs.mkdirs dir;
-      Obs.reset ();
-      Obs.set_enabled true);
-    line "=== multicore layer benchmark%s ===@." (if !quick then " (quick)" else "");
-    run_portfolio ();
-    run_sweep ();
-    run_fuzz ();
-    (match !stats_dir with
-    | None -> ()
-    | Some dir ->
-      Obs.meta "tool" "par_bench";
-      Obs.meta "experiment" (if !quick then "par-quick" else "par");
-      Obs.write_report (Filename.concat dir "BENCH_par.json");
-      Obs.set_enabled false;
-      line "report: %s@." (Filename.concat dir "BENCH_par.json"));
-    if !failed then exit 1
-  end
+let run o =
+  line "=== multicore layer benchmark%s ===@." (if o.quick then " (quick)" else "");
+  run_portfolio o;
+  run_sweep o;
+  run_fuzz o
+
+let row =
+  suite_row "par"
+    {
+      file = "BENCH_par.json";
+      tool = "par_bench";
+      experiment = (fun o -> if o.quick then "par-quick" else "par");
+    }
+    run
+
+let probe_row = { name = "par-probe"; default = (fun _ -> false); suite = None; run = run_probe }

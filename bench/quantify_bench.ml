@@ -1,4 +1,4 @@
-(* Quantification-backend benchmark: partial quantification over the
+(* Quantification-backend row: partial quantification over the
    bad cones of registry families under a deliberately tight growth
    budget, once per backend (circuit / pqe / auto).
 
@@ -8,9 +8,10 @@
    some of those same variables at the clause level — and the auto
    router, which retries the other backend whenever its first choice
    aborts, must therefore abort at most as often as either fixed
-   backend. The bench EXITS NON-ZERO unless the auto backend strictly
-   reduces aborts vs circuit-only on at least two families, so the
-   selector's reason to exist is re-proven on every run.
+   backend. The row FAILS (the harness exits non-zero) unless the auto
+   backend strictly reduces aborts vs circuit-only on at least two
+   families, so the selector's reason to exist is re-proven on every
+   run.
 
    Every gated metric is deterministic for a given build: fixed PRNG
    seeds, fixed models, no wall-clock-dependent budgets. Wall-clock goes
@@ -18,27 +19,13 @@
    ignores.
 
    Usage:
-     dune exec bench/quantify_bench.exe
-     dune exec bench/quantify_bench.exe -- --quick
-     dune exec bench/quantify_bench.exe -- --stats-dir=DIR
+     dune exec bench/bench.exe -- quantify
+     dune exec bench/bench.exe -- --quick quantify
+     dune exec bench/bench.exe -- --stats-dir=DIR quantify
                   -- writes DIR/BENCH_quantify.json, gateable by
                      cbq-bench-regress against bench/baseline-quantify *)
 
-let quick = ref false
-let stats_dir : string option ref = ref None
-
-let () =
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match arg with
-        | "--quick" -> quick := true
-        | s when String.length s > 12 && String.sub s 0 12 = "--stats-dir=" ->
-          stats_dir := Some (String.sub s 12 (String.length s - 12))
-        | s ->
-          Printf.eprintf "quantify_bench: unknown argument %S\n" s;
-          exit 2)
-    Sys.argv
+open Harness
 
 (* the tight budget: any residual growth aborts the circuit backend, so
    only variables whose elimination genuinely collapses survive — the
@@ -101,21 +88,15 @@ let run_family (name, param) =
   let circuit = aborts Cbq.Quantify.Circuit in
   let pqe = aborts Cbq.Quantify.Pqe in
   let auto = aborts Cbq.Quantify.Auto in
-  Format.printf "%-16s aborts: circuit=%2d pqe=%2d auto=%2d  %8.3fs@." family circuit pqe auto
+  line "%-16s aborts: circuit=%2d pqe=%2d auto=%2d  %8.3fs@." family circuit pqe auto
     dt;
   (family, circuit, pqe, auto)
 
-let () =
-  (match !stats_dir with
-  | None -> ()
-  | Some dir ->
-    Util.Fs.mkdirs dir;
-    Obs.reset ();
-    Obs.set_enabled true);
-  Format.printf "=== quantification backends under a tight growth budget%s ===@."
-    (if !quick then " (quick)" else "");
+let run o =
+  line "=== quantification backends under a tight growth budget%s ===@."
+    (if o.quick then " (quick)" else "");
   let families =
-    if !quick then
+    if o.quick then
       [ ("gray", Some 4); ("johnson", Some 4); ("lfsr", Some 4); ("fifo", Some 3) ]
     else
       [
@@ -131,27 +112,21 @@ let () =
   let rows = List.map run_family families in
   (* the auto ladder retries the other backend on abort, so per variable
      it can never abort where circuit succeeds *)
-  let regressions =
-    List.filter (fun (_, circuit, _, auto) -> auto > circuit) rows
-  in
   List.iter
     (fun (family, circuit, _, auto) ->
-      Format.printf "FAIL %s: auto aborted %d > circuit %d@." family auto circuit)
-    regressions;
-  let improved =
-    List.filter (fun (_, circuit, _, auto) -> auto < circuit) rows
-  in
-  Format.printf "auto < circuit on %d/%d families@." (List.length improved) (List.length rows);
-  (match !stats_dir with
-  | None -> ()
-  | Some dir ->
-    Obs.meta "tool" "quantify_bench";
-    Obs.meta "experiment" (if !quick then "quantify-backends-quick" else "quantify-backends");
-    Obs.write_report (Filename.concat dir "BENCH_quantify.json");
-    Obs.set_enabled false;
-    Format.printf "report: %s@." (Filename.concat dir "BENCH_quantify.json"));
-  if regressions <> [] then exit 1;
-  if List.length improved < 2 then begin
-    Format.printf "FAIL: the auto selector must beat circuit-only on >= 2 families@.";
-    exit 1
-  end
+      if auto > circuit then fail "%s: auto aborted %d > circuit %d" family auto circuit)
+    rows;
+  let improved = List.filter (fun (_, circuit, _, auto) -> auto < circuit) rows in
+  line "auto < circuit on %d/%d families@." (List.length improved) (List.length rows);
+  if List.length improved < 2 then
+    fail "the auto selector must beat circuit-only on >= 2 families"
+
+let row =
+  suite_row "quantify"
+    {
+      file = "BENCH_quantify.json";
+      tool = "quantify_bench";
+      experiment =
+        (fun o -> if o.quick then "quantify-backends-quick" else "quantify-backends");
+    }
+    run

@@ -1,11 +1,11 @@
-(* SAT-core microbenchmark: deterministic SAT-heavy workloads through
+(* SAT-core row: deterministic SAT-heavy workloads through
    [Sat.Solver], from pure clause-level instances to the incremental
    assumption pattern the sweeper uses, plus one end-to-end BMC row.
 
    Usage:
-     dune exec bench/sat_bench.exe
-     dune exec bench/sat_bench.exe -- --quick
-     dune exec bench/sat_bench.exe -- --stats-dir=DIR
+     dune exec bench/bench.exe -- sat
+     dune exec bench/bench.exe -- --quick sat
+     dune exec bench/bench.exe -- --stats-dir=DIR sat
                   -- writes DIR/BENCH_sat.json, gateable by
                      cbq-bench-regress against the checked-in baseline
                      (bench/baseline-sat/after). All gated metrics are
@@ -16,21 +16,7 @@
                      to the satbench.<row>.time spans, which the regress
                      gate ignores unless --time-threshold. *)
 
-let quick = ref false
-let stats_dir : string option ref = ref None
-
-let () =
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match arg with
-        | "--quick" -> quick := true
-        | s when String.length s > 12 && String.sub s 0 12 = "--stats-dir=" ->
-          stats_dir := Some (String.sub s 12 (String.length s - 12))
-        | s ->
-          Printf.eprintf "sat_bench: unknown argument %S\n" s;
-          exit 2)
-    Sys.argv
+open Harness
 
 let lp = Sat.Lit.pos
 let ln = Sat.Lit.neg_of
@@ -92,7 +78,7 @@ let record_row row tally work_conflicts work_decisions work_propagations dt =
   Obs.add (row_counter row "decisions") work_decisions;
   Obs.add (row_counter row "propagations") work_propagations;
   Obs.add_seconds (Obs.span (Printf.sprintf "satbench.%s.time" row)) dt;
-  Format.printf "%-12s %6d sat %6d unsat %4d unk %10d confl %8.3fs@." row tally.sat
+  line "%-12s %6d sat %6d unsat %4d unk %10d confl %8.3fs@." row tally.sat
     tally.unsat tally.unknown work_conflicts dt
 
 (* pure UNSAT proof work: pigeonhole *)
@@ -181,15 +167,9 @@ let run_bmc row ~bits =
     st.Sat.Solver.propagations
     (Util.Stopwatch.elapsed watch)
 
-let () =
-  (match !stats_dir with
-  | None -> ()
-  | Some dir ->
-    Util.Fs.mkdirs dir;
-    Obs.reset ();
-    Obs.set_enabled true);
-  Format.printf "=== SAT core benchmark%s ===@." (if !quick then " (quick)" else "");
-  if !quick then begin
+let run o =
+  line "=== SAT core benchmark%s ===@." (if o.quick then " (quick)" else "");
+  if o.quick then begin
     run_php "php8" 8;
     run_rand3sat "rand3sat" ~instances:6 ~vars:120;
     run_rand2sat "rand2sat" ~instances:10 ~vars:1200;
@@ -202,12 +182,13 @@ let () =
     run_rand2sat "rand2sat" ~instances:25 ~vars:3000;
     run_incremental "inc-assume" ~vars:300 ~queries:400;
     run_bmc "bmc-counter" ~bits:7
-  end;
-  match !stats_dir with
-  | None -> ()
-  | Some dir ->
-    Obs.meta "tool" "sat_bench";
-    Obs.meta "experiment" (if !quick then "sat-core-quick" else "sat-core");
-    Obs.write_report (Filename.concat dir "BENCH_sat.json");
-    Obs.set_enabled false;
-    Format.printf "report: %s@." (Filename.concat dir "BENCH_sat.json")
+  end
+
+let row =
+  suite_row "sat"
+    {
+      file = "BENCH_sat.json";
+      tool = "sat_bench";
+      experiment = (fun o -> if o.quick then "sat-core-quick" else "sat-core");
+    }
+    run

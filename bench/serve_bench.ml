@@ -1,11 +1,11 @@
-(* Serve-layer load harness: thousands of queued small jobs through a
+(* Serve-layer load row: thousands of queued small jobs through a
    live daemon over its real socket protocol.
 
    Usage:
-     dune exec bench/serve_bench.exe
-     dune exec bench/serve_bench.exe -- --quick
-     dune exec bench/serve_bench.exe -- --jobs=4 --count=2000
-     dune exec bench/serve_bench.exe -- --stats-dir=DIR
+     dune exec bench/bench.exe -- serve
+     dune exec bench/bench.exe -- --quick serve
+     dune exec bench/bench.exe -- --jobs=4 --count=2000 serve
+     dune exec bench/bench.exe -- --stats-dir=DIR serve
                   -- writes DIR/BENCH_serve.json, gateable by
                      cbq-bench-regress --only=counters.servebench.
                      against bench/baseline-serve
@@ -35,40 +35,11 @@
      write-the-whole-index-every-append (the O(N^2) shape this bench
      exists to pin down) fails CI even on a fast runner.
 
-   Exits non-zero on any correctness failure: a lost job, a wrong
-   verdict, a cancellation that did not land, or a superlinear index. *)
+   The row fails (the harness exits non-zero) on any correctness failure:
+   a lost job, a wrong verdict, a cancellation that did not land, or a
+   superlinear index. *)
 
-let quick = ref false
-let stats_dir : string option ref = ref None
-let jobs = ref 4
-let count = ref 1000
-let count_set = ref false
-let failed = ref false
-
-let () =
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match arg with
-        | "--quick" -> quick := true
-        | s when String.length s > 12 && String.sub s 0 12 = "--stats-dir=" ->
-          stats_dir := Some (String.sub s 12 (String.length s - 12))
-        | s when String.length s > 7 && String.sub s 0 7 = "--jobs=" ->
-          jobs := int_of_string (String.sub s 7 (String.length s - 7))
-        | s when String.length s > 8 && String.sub s 0 8 = "--count=" ->
-          count := int_of_string (String.sub s 8 (String.length s - 8));
-          count_set := true
-        | s ->
-          Printf.eprintf "serve_bench: unknown argument %S\n" s;
-          exit 2)
-    Sys.argv
-
-let () = if !quick && not !count_set then count := 200
-let line fmt = Format.printf fmt
-
-let fail fmt =
-  failed := true;
-  Format.kasprintf (fun s -> Format.eprintf "serve_bench: FAIL: %s@." s) fmt
+open Harness
 
 let c name = Obs.counter ("servebench." ^ name)
 let span name dt = Obs.add_seconds (Obs.span ("servebench." ^ name)) dt
@@ -99,19 +70,19 @@ type kind = Falsifiable | Provable | Starved
 
 let kind_of i = if i mod 10 = 3 then Provable else if i mod 10 = 7 then Starved else Falsifiable
 
-let run_throughput () =
-  line "=== scheduler throughput: %d jobs over one connection (%d workers) ===@." !count !jobs;
+let run_throughput ~jobs ~count =
+  line "=== scheduler throughput: %d jobs over one connection (%d workers) ===@." count jobs;
   with_dir @@ fun dir ->
   let store = Obs.Store.open_ dir in
   let falsifiable = frozen "counter" 2 in
   let provable = frozen "gray" 3 in
   let starved = frozen "counter" 6 in
   let server =
-    Serve.Server.start ~jobs:!jobs ~store
+    Serve.Server.start ~jobs ~store
       (Serve.Protocol.Unix_path (Filename.concat dir "s.sock"))
   in
   let specs =
-    List.init !count (fun i ->
+    List.init count (fun i ->
         let (model_name, aig), engine, budget =
           match kind_of i with
           | Falsifiable -> (falsifiable, "bmc", Serve.Protocol.no_budget)
@@ -152,20 +123,20 @@ let run_throughput () =
       | _, Serve.Client.Crashed { message; _ } -> fail "job %d crashed: %s" i message
       | _, Serve.Client.Refused { reason } -> fail "job %d refused: %s" i reason)
     outcomes;
-  line "%d jobs in %.3fs (%.0f jobs/s): %d falsified, %d proved, %d budget-capped@." !count dt
-    (float_of_int !count /. dt)
+  line "%d jobs in %.3fs (%.0f jobs/s): %d falsified, %d proved, %d budget-capped@." count dt
+    (float_of_int count /. dt)
     !falsified !proved !capped;
-  Obs.add (c "jobs.total") !count;
+  Obs.add (c "jobs.total") count;
   Obs.add (c "jobs.finished") !finished;
   Obs.add (c "jobs.falsified") !falsified;
   Obs.add (c "jobs.proved") !proved;
   Obs.add (c "jobs.capped") !capped;
   span "throughput.time" dt;
-  if !finished <> !count then fail "%d of %d jobs never finished" (!count - !finished) !count;
+  if !finished <> count then fail "%d of %d jobs never finished" (count - !finished) count;
   (* the daemon's shared store took exactly one append per finished job,
      at O(1) amortized index cost (gated below via the store counters) *)
   let stored = List.length (Obs.Store.entries (Obs.Store.open_ dir)) in
-  if stored <> !count then fail "store has %d runs for %d finished jobs" stored !count;
+  if stored <> count then fail "store has %d runs for %d finished jobs" stored count;
   line "store: %d runs, %d index writes, %d index entries serialized@."
     stored
     (Obs.value_of "store.index.writes")
@@ -173,13 +144,13 @@ let run_throughput () =
 
 (* ---------------- cancellation row ---------------- *)
 
-let run_cancel () =
-  let k = if !quick then 8 else 24 in
-  line "@.=== cancellation: %d unfinishable jobs (%d running, rest queued) ===@." k !jobs;
+let run_cancel ~quick ~jobs =
+  let k = if quick then 8 else 24 in
+  line "@.=== cancellation: %d unfinishable jobs (%d running, rest queued) ===@." k jobs;
   with_dir @@ fun dir ->
   let model_name, aig = frozen "counter" 12 in
   let server =
-    Serve.Server.start ~jobs:!jobs (Serve.Protocol.Unix_path (Filename.concat dir "s.sock"))
+    Serve.Server.start ~jobs (Serve.Protocol.Unix_path (Filename.concat dir "s.sock"))
   in
   let client = Serve.Client.connect (Serve.Server.address server) in
   (* submit via raw sends so cancels can race the runs *)
@@ -206,7 +177,7 @@ let run_cancel () =
   done;
   (* let the pool actually start chewing before cancelling *)
   let spin = Util.Stopwatch.start () in
-  while !started < min k !jobs && Util.Stopwatch.elapsed spin < 10.0 do
+  while !started < min k jobs && Util.Stopwatch.elapsed spin < 10.0 do
     match Serve.Client.recv client with
     | Some (Serve.Protocol.Started _) -> incr started
     | Some _ -> ()
@@ -294,25 +265,27 @@ let run_store () =
   else if writes > 14 then fail "index rewrites are not logarithmic (%d)" writes
   else Obs.incr (c "store.linear")
 
-let () =
-  Obs.reset ();
+let run o =
+  (* the store rows read the library's store counters, so this row
+     collects telemetry even without --stats-dir *)
   Obs.set_enabled true;
+  let count = Option.value o.count ~default:(if o.quick then 200 else 1000) in
   line "=== serve layer load bench%s (jobs=%d, count=%d) ===@."
-    (if !quick then " (quick)" else "")
-    !jobs !count;
+    (if o.quick then " (quick)" else "")
+    o.jobs count;
+  let failures = !Harness.failures in
   (try
-     run_throughput ();
-     run_cancel ();
+     run_throughput ~jobs:o.jobs ~count;
+     run_cancel ~quick:o.quick ~jobs:o.jobs;
      run_store ()
    with Exit -> ());
-  if not !failed then Obs.incr (c "ok");
-  (match !stats_dir with
-  | None -> ()
-  | Some dir ->
-    Util.Fs.mkdirs dir;
-    Obs.meta "tool" "serve_bench";
-    Obs.meta "experiment" (if !quick then "serve-quick" else "serve");
-    Obs.write_report (Filename.concat dir "BENCH_serve.json");
-    line "report: %s@." (Filename.concat dir "BENCH_serve.json"));
-  Obs.set_enabled false;
-  if !failed then exit 1
+  if !Harness.failures = failures then Obs.incr (c "ok")
+
+let row =
+  suite_row "serve"
+    {
+      file = "BENCH_serve.json";
+      tool = "serve_bench";
+      experiment = (fun o -> if o.quick then "serve-quick" else "serve");
+    }
+    run

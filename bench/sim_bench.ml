@@ -1,120 +1,24 @@
-(* Simulation-throughput microbenchmark: the retired per-pattern
-   Hashtbl engine (replicated below) against the packed bit-parallel
-   engine in [Sweep.Sim], on the standard cone families.
+(* Simulation-throughput row: the packed bit-parallel engine in
+   [Sweep.Sim] on the standard cone families. (That its classes are the
+   exact partition its patterns induce is a tier-1 test in
+   test/test_sim_bank.ml.)
 
    Usage:
-     dune exec bench/sim_bench.exe
-     dune exec bench/sim_bench.exe -- --quick
-     dune exec bench/sim_bench.exe -- --stats-dir=DIR
+     dune exec bench/bench.exe -- sim
+     dune exec bench/bench.exe -- --quick sim
+     dune exec bench/bench.exe -- --stats-dir=DIR sim
                   -- writes DIR/BENCH_sim.json, gateable by
                      cbq-bench-regress against the checked-in baseline
                      (bench/baseline-sim). All gated metrics are
                      deterministic (fixed seeds, no timing): counters
-                     carry node/word/class counts and the old-vs-new
-                     class agreement; wall-clock goes to spans, which
-                     the regress gate ignores unless --time-threshold. *)
+                     carry node/word/class counts; wall-clock goes to
+                     spans, which the regress gate ignores unless
+                     --time-threshold. *)
 
-let quick = ref false
-let stats_dir : string option ref = ref None
+open Harness
 
-let () =
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match arg with
-        | "--quick" -> quick := true
-        | s when String.length s > 12 && String.sub s 0 12 = "--stats-dir=" ->
-          stats_dir := Some (String.sub s 12 (String.length s - 12))
-        | s ->
-          Printf.eprintf "sim_bench: unknown argument %S\n" s;
-          exit 2)
-    Sys.argv
-
-(* The pre-rewrite [Sweep.Sim] engine, kept verbatim as the comparison
-   baseline: per-pattern Hashtbl cone walk, realloc-and-copy signature
-   append, classes bucketed on int64-array keys with the polymorphic
-   hash. Only what the benchmark needs (create + classes) is retained. *)
-module Old_sim = struct
-  type t = {
-    aig : Aig.t;
-    and_nodes : int list;
-    all_nodes : int list;
-    vars : Aig.var list;
-    prng : Util.Prng.t;
-    sigs : (int, int64 array) Hashtbl.t;
-  }
-
-  let append_pattern t words =
-    let table = Aig.simulate_cone t.aig t.and_nodes words in
-    List.iter
-      (fun n ->
-        let w =
-          match Hashtbl.find_opt table n with
-          | Some w -> w
-          | None -> (
-            match Aig.var_of_lit t.aig (Aig.lit_of_node n) with
-            | Some v -> words v
-            | None -> 0L)
-        in
-        let old = try Hashtbl.find t.sigs n with Not_found -> [||] in
-        let arr = Array.make (Array.length old + 1) w in
-        Array.blit old 0 arr 0 (Array.length old);
-        Hashtbl.replace t.sigs n arr)
-      t.all_nodes
-
-  let random_pattern t =
-    let table = Hashtbl.create 16 in
-    List.iter (fun v -> Hashtbl.replace table v (Util.Prng.next64 t.prng)) t.vars;
-    fun v -> try Hashtbl.find table v with Not_found -> 0L
-
-  let create aig ~roots ~rounds ~prng =
-    let and_nodes = Aig.cone aig roots in
-    let vars = Aig.support_list aig roots in
-    let leaves = List.map (fun v -> Aig.node_of_lit (Aig.var aig v)) vars in
-    let all_nodes = List.sort_uniq compare ((0 :: leaves) @ and_nodes) in
-    let t =
-      { aig; and_nodes; all_nodes; vars; prng; sigs = Hashtbl.create (List.length all_nodes) }
-    in
-    for _ = 1 to max 1 rounds do
-      append_pattern t (random_pattern t)
-    done;
-    t
-
-  let signature t n = try Hashtbl.find t.sigs n with Not_found -> [||]
-
-  let normalized t n =
-    let s = signature t n in
-    if Array.length s = 0 then (s, 0)
-    else if Int64.logand s.(0) 1L = 1L then (Array.map Int64.lognot s, 1)
-    else (s, 0)
-
-  let classes t =
-    let buckets : (int64 array, Aig.lit list ref) Hashtbl.t = Hashtbl.create 64 in
-    let order = ref [] in
-    List.iter
-      (fun n ->
-        let key, phase = normalized t n in
-        let l = Aig.lit_of_node n lxor phase in
-        match Hashtbl.find_opt buckets key with
-        | Some members -> members := l :: !members
-        | None ->
-          let members = ref [ l ] in
-          Hashtbl.replace buckets key members;
-          order := key :: !order)
-      t.all_nodes;
-    List.rev !order
-    |> List.filter_map (fun key ->
-           let members = List.rev !(Hashtbl.find buckets key) in
-           match members with _ :: _ :: _ -> Some members | [] | [ _ ] -> None)
-end
-
-(* class lists as canonical sets, for the agreement check *)
-let canonical classes =
-  List.map (List.sort_uniq Int.compare) classes
-  |> List.sort (fun a b -> compare a b)
-
-let families () =
-  let n = if !quick then 2 else 4 in
+let families o =
+  let n = if o.quick then 2 else 4 in
   List.filteri
     (fun i _ -> i < n)
     [
@@ -135,58 +39,31 @@ let time_best ~repeats f =
   done;
   (Option.get !result, !best)
 
-let () =
-  let rounds = if !quick then 8 else 32 in
-  let repeats = if !quick then 2 else 3 in
-  (match !stats_dir with
-  | None -> ()
-  | Some dir ->
-    Util.Fs.mkdirs dir;
-    Obs.reset ();
-    Obs.set_enabled true);
-  Format.printf "=== SIM: bit-parallel engine vs per-pattern walk (rounds=%d) ===@." rounds;
-  Format.printf "%-10s %8s %6s %10s %10s %9s@." "family" "nodes" "cls" "old Mnp/s" "new Mnp/s"
-    "speedup";
+let run o =
+  let rounds = if o.quick then 8 else 32 in
+  let repeats = if o.quick then 2 else 3 in
+  line "=== SIM: bit-parallel simulation throughput (rounds=%d) ===@." rounds;
+  line "%-10s %8s %6s %10s@." "family" "nodes" "cls" "Mnp/s";
   List.iter
     (fun (name, (cone : Circuits.Comb.cone)) ->
-      let aig = cone.Circuits.Comb.aig in
-      let roots = [ cone.Circuits.Comb.root ] in
-      let old_span = Obs.span (Printf.sprintf "simbench.%s.old" name) in
-      let new_span = Obs.span (Printf.sprintf "simbench.%s.new" name) in
-      let old_classes, old_dt =
+      let (classes, nodes), dt =
         time_best ~repeats (fun () ->
             let prng = Util.Prng.create 11 in
-            Old_sim.classes (Old_sim.create aig ~roots ~rounds ~prng))
+            let sim =
+              Sweep.Sim.create cone.Circuits.Comb.aig ~roots:[ cone.Circuits.Comb.root ] ~rounds
+                ~prng
+            in
+            (List.length (Sweep.Sim.classes sim), List.length (Sweep.Sim.nodes sim)))
       in
-      Obs.add_seconds old_span old_dt;
-      let (new_classes, nodes), new_dt =
-        time_best ~repeats (fun () ->
-            let prng = Util.Prng.create 11 in
-            let sim = Sweep.Sim.create aig ~roots ~rounds ~prng in
-            (Sweep.Sim.classes sim, List.length (Sweep.Sim.nodes sim)))
-      in
-      Obs.add_seconds new_span new_dt;
-      (* same PRNG seed and draw order -> identical patterns, so the
-         class partitions must agree exactly *)
-      let agree = canonical old_classes = canonical new_classes in
-      let node_patterns = float_of_int (nodes * rounds * 64) in
-      let mnps dt = node_patterns /. dt /. 1e6 in
+      Obs.add_seconds (Obs.span (Printf.sprintf "simbench.%s.new" name)) dt;
       Obs.add (Obs.counter (Printf.sprintf "simbench.%s.nodes" name)) nodes;
       Obs.add (Obs.counter (Printf.sprintf "simbench.%s.words" name)) rounds;
-      Obs.add
-        (Obs.counter (Printf.sprintf "simbench.%s.classes" name))
-        (List.length new_classes);
-      Obs.add (Obs.counter (Printf.sprintf "simbench.%s.mismatches" name)) (if agree then 0 else 1);
-      Format.printf "%-10s %8d %6d %10.1f %10.1f %8.1fx%s@." name nodes
-        (List.length new_classes) (mnps old_dt) (mnps new_dt) (old_dt /. new_dt)
-        (if agree then "" else "  CLASS MISMATCH");
-      if not agree then exit 1)
-    (families ());
-  match !stats_dir with
-  | None -> ()
-  | Some dir ->
-    Obs.meta "tool" "sim_bench";
-    Obs.meta "experiment" "sim-throughput";
-    Obs.write_report (Filename.concat dir "BENCH_sim.json");
-    Obs.set_enabled false;
-    Format.printf "report: %s@." (Filename.concat dir "BENCH_sim.json")
+      Obs.add (Obs.counter (Printf.sprintf "simbench.%s.classes" name)) classes;
+      line "%-10s %8d %6d %10.1f@." name nodes classes
+        (float_of_int (nodes * rounds * 64) /. dt /. 1e6))
+    (families o)
+
+let row =
+  suite_row "sim"
+    { file = "BENCH_sim.json"; tool = "sim_bench"; experiment = (fun _ -> "sim-throughput") }
+    run

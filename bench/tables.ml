@@ -1,5 +1,5 @@
-(* Benchmark harness: regenerates every table and figure of the
-   reconstructed evaluation (see DESIGN.md §4 and EXPERIMENTS.md).
+(* The paper's evaluation tables as bench rows (see DESIGN.md §4 and
+   EXPERIMENTS.md), run by the bench harness (harness.ml):
 
      T1  quantification size vs. optimization level
      T2  merge-phase ablation (+ shared vs fresh clause database)
@@ -9,111 +9,35 @@
      T6  don't-care optimization ablation
      F1  traversal size profile (AIG frontier vs BDD nodes)
      F2  size-vs-quantified-variables profile
+     T7  forward CBQ vs forward BDD
+     T8  stand-alone CEC scaling
+     A1  traversal-option ablation
+     A2  sequential sweeping as preprocessing
+     B1  block vs sequential quantification
+     MICRO  Bechamel micro-benchmarks, one per table
 
-   Usage:
-     dune exec bench/main.exe            -- all tables + micro benchmarks
-     dune exec bench/main.exe -- --quick -- smaller parameters
-     dune exec bench/main.exe -- T1 F2   -- selected experiments only
-     dune exec bench/main.exe -- --no-micro
-     dune exec bench/main.exe -- --stats-dir=reports T4
-                                         -- one JSON run report per row
-     dune exec bench/main.exe -- --store=runs T4
-                                         -- append each row's report to a
-                                            run-report store (cbq_mc report)
-     dune exec bench/main.exe -- --row-timeout=5 T4
-                                         -- fresh 5s wall-clock governor per
-                                            engine row (rows degrade to
-                                            UNDECIDED instead of stalling)
+   Usage (every flag: harness.ml):
+     dune exec bench/bench.exe                  -- all tables + MICRO
+     dune exec bench/bench.exe -- --quick T1 F2 -- selected tables, smaller
+     dune exec bench/bench.exe -- --stats-dir=reports --row-timeout=5 T4
+                                -- one JSON run report per experiment, a
+                                   fresh 5s governor per engine run
 *)
 
-let quick = ref false
-let run_micro = ref true
-let selected : string list ref = ref []
-let stats_dir : string option ref = ref None
-let store_dir : string option ref = ref None
-let row_timeout : float option ref = ref None
-
-let () =
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match arg with
-        | "--quick" -> quick := true
-        | "--no-micro" -> run_micro := false
-        | "--micro" -> run_micro := true
-        | s when String.length s > 12 && String.sub s 0 12 = "--stats-dir=" ->
-          stats_dir := Some (String.sub s 12 (String.length s - 12))
-        | s when String.length s > 8 && String.sub s 0 8 = "--store=" ->
-          store_dir := Some (String.sub s 8 (String.length s - 8))
-        | s when String.length s > 14 && String.sub s 0 14 = "--row-timeout=" ->
-          row_timeout := float_of_string_opt (String.sub s 14 (String.length s - 14))
-        | s -> selected := String.uppercase_ascii s :: !selected)
-    Sys.argv
+open Harness
 
 (* With --row-timeout=SEC every engine invocation of the comparison
    tables runs under its own fresh wall-clock governor, so a single
    blown-up row degrades to UNDECIDED instead of stalling the whole
    harness. Each call gets a new governor: exhaustion is sticky and must
    not leak across rows. *)
-let row_limits () =
-  match !row_timeout with
+let row_limits o =
+  match o.row_timeout with
   | None -> Util.Limits.unlimited
   | Some sec -> Util.Limits.create ~timeout:sec ()
 
-let wanted id = !selected = [] || List.mem id !selected
-
 let header id title =
-  Format.printf "@.=== %s: %s ===@." id title
-
-let line fmt = Format.printf fmt
-
-(* With --stats-dir, each experiment row runs under a fresh telemetry
-   window and leaves one JSON run report, numbered in emission order
-   (schema: docs/OBSERVABILITY.md). Without it, [f] runs untouched —
-   collection stays disabled and the tables time the uninstrumented
-   fast path. *)
-let report_seq = ref 0
-
-(* --store=DIR additionally appends every row's report to a run-report
-   store, so `cbq_mc report trend` can track a row across bench
-   invocations; the store handle is opened once, on first use *)
-let store_handle = ref None
-
-let store () =
-  match !store_dir with
-  | None -> None
-  | Some dir ->
-    (match !store_handle with
-    | Some _ -> ()
-    | None -> store_handle := Some (Obs.Store.open_ dir));
-    !store_handle
-
-let with_report label f =
-  match (!stats_dir, !store_dir) with
-  | None, None -> f ()
-  | _ ->
-    Option.iter Util.Fs.mkdirs !stats_dir;
-    Obs.reset ();
-    Obs.set_enabled true;
-    (* disarm even if the row raises, so one broken experiment cannot
-       leak its telemetry into the next row's report *)
-    let result = Fun.protect ~finally:(fun () -> Obs.set_enabled false) f in
-    Obs.meta "tool" "bench";
-    Obs.meta "experiment" label;
-    incr report_seq;
-    let sanitized =
-      String.map
-        (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_') as c -> c | _ -> '-')
-        label
-    in
-    (match !stats_dir with
-    | Some dir ->
-      let path = Filename.concat dir (Printf.sprintf "%03d-%s.json" !report_seq sanitized) in
-      Obs.write_report path
-    | None -> ());
-    Option.iter (fun st -> ignore (Obs.Store.append st (Obs.report ()))) (store ());
-    Obs.reset ();
-    result
+  line "@.=== %s: %s ===@." id title
 
 (* ---------------------------------------------------------------- *)
 (* shared machinery                                                  *)
@@ -200,8 +124,8 @@ let bdd_size_of aig lit ~limit =
   | Ok s -> Printf.sprintf "%d" s
   | Error `Node_limit -> Printf.sprintf ">%d" limit
 
-let t1_cones () =
-  if !quick then
+let t1_cones o =
+  if o.quick then
     [ Circuits.Comb.multiplier_bit 4; Circuits.Comb.hwb 6; Circuits.Comb.adder_carry 5 ]
   else
     [
@@ -217,14 +141,14 @@ let t1_cones () =
 (* T1: quantification size vs optimization level                     *)
 (* ---------------------------------------------------------------- *)
 
-let t1 () =
+let t1 o =
   header "T1" "result size after quantifying k variables, per optimization level";
   line "%-10s %5s %6s | %s | %8s@." "cone" "|F|" "k"
     (String.concat " " (List.map (fun l -> Printf.sprintf "%8s" l.level_name) quant_levels))
     "bdd(res)";
   List.iter
     (fun (cone : Circuits.Comb.cone) ->
-      with_report ("t1-" ^ cone.Circuits.Comb.name) @@ fun () ->
+      with_report o ("t1-" ^ cone.Circuits.Comb.name) @@ fun () ->
       let aig = cone.Circuits.Comb.aig in
       let base_size = Aig.size aig cone.Circuits.Comb.root in
       let nv = List.length cone.Circuits.Comb.vars in
@@ -241,7 +165,7 @@ let t1 () =
             (String.concat " " (List.map (Printf.sprintf "%8d") sizes))
             bddcol)
         ks)
-    (t1_cones ())
+    (t1_cones o)
 
 (* ---------------------------------------------------------------- *)
 (* T2: merge-phase ablation                                          *)
@@ -263,13 +187,13 @@ let t2_stage name config aig f0 f1 =
   in
   (name, report, dt)
 
-let t2 () =
+let t2 o =
   header "T2" "merge-phase ablation on quantification cofactor pairs";
   line "%-10s %-10s %7s %7s %7s %7s %8s@." "cone" "stage" "classes" "bdd-mrg" "sat-mrg"
     "total" "time(s)";
   List.iter
     (fun (cone : Circuits.Comb.cone) ->
-      with_report ("t2-" ^ cone.Circuits.Comb.name) @@ fun () ->
+      with_report o ("t2-" ^ cone.Circuits.Comb.name) @@ fun () ->
       let aig, f0, f1 = cofactor_pair cone in
       let stages =
         [
@@ -285,13 +209,13 @@ let t2 () =
             r.Sweep.Sweeper.candidate_classes r.Sweep.Sweeper.bdd_merges
             r.Sweep.Sweeper.sat_merges r.Sweep.Sweeper.total_merges dt)
         stages)
-    (t1_cones ());
+    (t1_cones o);
   (* shared clause database vs a fresh solver per equivalence check *)
   line "@.shared clause DB vs fresh solver per check (the paper's factorized SAT-merge):@.";
   line "%-10s %-8s %9s %9s %9s@." "cone" "mode" "sat-calls" "conflicts" "time(s)";
   List.iter
     (fun (cone : Circuits.Comb.cone) ->
-      with_report ("t2-db-" ^ cone.Circuits.Comb.name) @@ fun () ->
+      with_report o ("t2-db-" ^ cone.Circuits.Comb.name) @@ fun () ->
       let aig, f0, f1 = cofactor_pair cone in
       (* shared: the normal sweeper *)
       let checker = Cnf.Checker.create aig in
@@ -328,14 +252,14 @@ let t2 () =
       in
       line "%-10s %-8s %9d %9d %9.4f@." cone.Circuits.Comb.name "fresh" !fresh_calls
         !fresh_conflicts fresh_dt)
-    (t1_cones ())
+    (t1_cones o)
 
 (* ---------------------------------------------------------------- *)
 (* T3: forward vs backward SAT merging                               *)
 (* ---------------------------------------------------------------- *)
 
-let t3_workloads () =
-  let n = if !quick then 6 else 10 in
+let t3_workloads o =
+  let n = if o.quick then 6 else 10 in
   (* similar cofactors: quantifying the select of a mux between two
      structurally different builds of the SAME function leaves two
      equivalent cofactors — the high-merge-probability case where the
@@ -384,13 +308,13 @@ let t3_workloads () =
   in
   [ similar (); dissimilar () ]
 
-let t3 () =
+let t3 o =
   header "T3" "forward vs backward processing of the SAT merge queue";
   line "%-12s %-9s %8s %8s %8s %9s %8s@." "workload" "order" "calls" "merges" "skipped"
     "refuted" "time(s)";
   List.iter
     (fun (name, aig, f0, f1) ->
-      with_report ("t3-" ^ name) @@ fun () ->
+      with_report o ("t3-" ^ name) @@ fun () ->
       List.iter
         (fun direction ->
           let checker = Cnf.Checker.create aig in
@@ -409,14 +333,14 @@ let t3 () =
             r.Sweep.Sweeper.sat_calls r.Sweep.Sweeper.sat_merges
             r.Sweep.Sweeper.sat_skipped_covered r.Sweep.Sweeper.sat_refuted dt)
         [ Sweep.Sweeper.Forward; Sweep.Sweeper.Backward ])
-    (t3_workloads ())
+    (t3_workloads o)
 
 (* ---------------------------------------------------------------- *)
 (* T4: traversal-engine comparison                                   *)
 (* ---------------------------------------------------------------- *)
 
-let t4_models () =
-  if !quick then
+let t4_models o =
+  if o.quick then
     [ ("counter", Some 4); ("fifo-buggy", Some 2); ("arbiter", Some 4); ("gray", Some 3) ]
   else
     [
@@ -435,7 +359,7 @@ let t4_models () =
 
 type t4_row = { engine : string; verdict : string; iters : int; peak : int; secs : float }
 
-let t4_run_engines name param =
+let t4_run_engines o name param =
   let build () = fst (Circuits.Registry.build name param) in
   let rows = ref [] in
   let add engine verdict iters peak secs =
@@ -443,7 +367,7 @@ let t4_run_engines name param =
   in
   let vs v = Format.asprintf "%a" Baselines.Verdict.pp v in
   (let m = build () in
-   let r, dt = Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:{ Cbq.Reachability.default with make_trace = false } ~limits:(row_limits ()) m) in
+   let r, dt = Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:{ Cbq.Reachability.default with make_trace = false } ~limits:(row_limits o) m) in
    let v =
      match r.Cbq.Reachability.verdict with
      | Cbq.Reachability.Proved -> "PROVED"
@@ -452,65 +376,65 @@ let t4_run_engines name param =
    in
    add "cbq" v (List.length r.Cbq.Reachability.iterations) r.Cbq.Reachability.peak_frontier dt);
   (let m = build () in
-   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.backward ~node_limit:300_000 ~limits:(row_limits ()) m) in
+   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.backward ~node_limit:300_000 ~limits:(row_limits o) m) in
    add "bdd-bwd" (vs r.Baselines.Bdd_mc.verdict) (List.length r.Baselines.Bdd_mc.iterations)
      r.Baselines.Bdd_mc.peak_nodes dt);
   (let m = build () in
-   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.forward ~node_limit:300_000 ~limits:(row_limits ()) m) in
+   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.forward ~node_limit:300_000 ~limits:(row_limits o) m) in
    add "bdd-fwd" (vs r.Baselines.Bdd_mc.verdict) (List.length r.Baselines.Bdd_mc.iterations)
      r.Baselines.Bdd_mc.peak_nodes dt);
   (let m = build () in
-   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bmc.run ~max_depth:64 ~limits:(row_limits ()) m) in
+   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bmc.run ~max_depth:64 ~limits:(row_limits o) m) in
    add "bmc" (vs r.Baselines.Bmc.verdict) r.Baselines.Bmc.depth_reached
      r.Baselines.Bmc.solver.Sat.Solver.decisions dt);
   (let m = build () in
-   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Induction.run ~max_k:40 ~limits:(row_limits ()) m) in
+   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Induction.run ~max_k:40 ~limits:(row_limits o) m) in
    add "induction" (vs r.Baselines.Induction.verdict) r.Baselines.Induction.k_used
      r.Baselines.Induction.solver.Sat.Solver.decisions dt);
   (let m = build () in
    let r, dt =
      Util.Stopwatch.time (fun () ->
-         Baselines.Cofactor_preimage.run ~max_enumerations:50_000 ~limits:(row_limits ()) m)
+         Baselines.Cofactor_preimage.run ~max_enumerations:50_000 ~limits:(row_limits o) m)
    in
    add "cofactor" (vs r.Baselines.Cofactor_preimage.verdict)
      (List.length r.Baselines.Cofactor_preimage.iterations)
      r.Baselines.Cofactor_preimage.total_enumerations dt);
   (let m = build () in
-   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Hybrid.run ~limits:(row_limits ()) m) in
+   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Hybrid.run ~limits:(row_limits o) m) in
    add "hybrid" (vs r.Baselines.Hybrid.verdict) (List.length r.Baselines.Hybrid.iterations)
      r.Baselines.Hybrid.total_enumerations dt);
   List.rev !rows
 
-let t4 () =
+let t4 o =
   header "T4" "traversal comparison (peak = AIG frontier / BDD nodes / SAT decisions / enums)";
   line "%-16s %-10s %-16s %6s %9s %9s@." "model" "engine" "verdict" "iters" "peak" "time(s)";
   List.iter
     (fun (name, param) ->
       let model, _ = Circuits.Registry.build name param in
       let model_name = Netlist.Model.name model in
-      with_report ("t4-" ^ model_name) @@ fun () ->
+      with_report o ("t4-" ^ model_name) @@ fun () ->
       List.iter
         (fun r ->
           line "%-16s %-10s %-16s %6d %9d %9.4f@." model_name r.engine r.verdict r.iters r.peak
             r.secs)
-        (t4_run_engines name param))
-    (t4_models ())
+        (t4_run_engines o name param))
+    (t4_models o)
 
 (* ---------------------------------------------------------------- *)
 (* T5: partial quantification as preprocessing                       *)
 (* ---------------------------------------------------------------- *)
 
-let t5 () =
+let t5 o =
   header "T5" "partial quantification: inputs eliminated vs growth budget, and downstream SAT work";
   line "%-12s %10s %10s %8s %9s@." "model" "budget" "eliminated" "kept" "|pre|";
   let models =
-    if !quick then [ ("arbiter", Some 4) ] else [ ("arbiter", Some 6); ("arbiter", Some 10); ("gray", Some 4) ]
+    if o.quick then [ ("arbiter", Some 4) ] else [ ("arbiter", Some 6); ("arbiter", Some 10); ("gray", Some 4) ]
   in
   let budgets = [ (0.5, "0.5x"); (1.0, "1.0x"); (2.0, "2.0x"); (infinity, "inf") ] in
   List.iter
     (fun (name, param) ->
       let model, _ = Circuits.Registry.build name param in
-      with_report ("t5-budget-" ^ Netlist.Model.name model) @@ fun () ->
+      with_report o ("t5-budget-" ^ Netlist.Model.name model) @@ fun () ->
       let aig = Netlist.Model.aig model in
       let bad = Aig.not_ model.Netlist.Model.property in
       List.iter
@@ -532,14 +456,14 @@ let t5 () =
   line "@.combinational budget sweep (random cone, quantifying half the inputs):@.";
   line "%-12s %10s %10s %8s %9s@." "cone" "budget" "eliminated" "kept" "size";
   let cone =
-    if !quick then Circuits.Comb.random_cone ~vars:8 ~gates:64 ~seed:47
+    if o.quick then Circuits.Comb.random_cone ~vars:8 ~gates:64 ~seed:47
     else Circuits.Comb.random_cone ~vars:12 ~gates:140 ~seed:47
   in
   let budgets_comb = [ (0.3, "0.3x"); (0.5, "0.5x"); (0.8, "0.8x"); (infinity, "inf") ] in
   (* quantify half the inputs so the result stays a non-trivial function
      and per-variable aborts are visible *)
   let half = List.filteri (fun i _ -> i mod 2 = 0) cone.Circuits.Comb.vars in
-  with_report "t5-comb-budget" (fun () ->
+  with_report o "t5-comb-budget" (fun () ->
       List.iter
         (fun (limit, label) ->
           let aig = cone.Circuits.Comb.aig in
@@ -560,7 +484,7 @@ let t5 () =
   List.iter
     (fun (name, param) ->
       let m1, _ = Circuits.Registry.build name param in
-      with_report ("t5-bmc-" ^ Netlist.Model.name m1) @@ fun () ->
+      with_report o ("t5-bmc-" ^ Netlist.Model.name m1) @@ fun () ->
       let r1 = Baselines.Bmc.run ~max_depth:40 m1 in
       line "%-16s %-8s %10d %10d %12d@." (Netlist.Model.name m1) "plain"
         r1.Baselines.Bmc.solver.Sat.Solver.decisions
@@ -570,7 +494,7 @@ let t5 () =
       line "%-16s %-8s %10d %10d %12d@." "" "cbq-prep"
         r2.Baselines.Bmc.solver.Sat.Solver.decisions
         r2.Baselines.Bmc.solver.Sat.Solver.conflicts r2.Baselines.Bmc.inputs_eliminated)
-    (if !quick then [ ("counter", Some 4) ]
+    (if o.quick then [ ("counter", Some 4) ]
      else [ ("counter", Some 4); ("fifo-buggy", Some 3); ("accumulator", Some 4) ]);
   (* downstream effect: enumerations needed with vs without preprocessing *)
   line "@.downstream all-solution pre-image (enumerations = SAT solutions needed):@.";
@@ -578,7 +502,7 @@ let t5 () =
   List.iter
     (fun (name, param) ->
       let model, _ = Circuits.Registry.build name param in
-      with_report ("t5-enum-" ^ Netlist.Model.name model) @@ fun () ->
+      with_report o ("t5-enum-" ^ Netlist.Model.name model) @@ fun () ->
       (let r = Baselines.Cofactor_preimage.run ~max_enumerations:100_000 model in
        line "%-12s %-22s %14d@." (Netlist.Model.name model) "pure enumeration"
          r.Baselines.Cofactor_preimage.total_enumerations);
@@ -593,7 +517,7 @@ let t5 () =
 (* T6: don't-care optimization ablation                              *)
 (* ---------------------------------------------------------------- *)
 
-let t6 () =
+let t6 o =
   header "T6" "cross-cofactor don't-care optimization ablation";
   line "%-10s %-12s %6s %6s %6s %6s %8s@." "cone" "variant" "const" "merge" "odc" "size"
     "sat-calls";
@@ -607,7 +531,7 @@ let t6 () =
   in
   List.iter
     (fun (cone : Circuits.Comb.cone) ->
-      with_report ("t6-" ^ cone.Circuits.Comb.name) @@ fun () ->
+      with_report o ("t6-" ^ cone.Circuits.Comb.name) @@ fun () ->
       let aig, f0, f1 = cofactor_pair cone in
       (* pre-merge with the sweeper so T6 isolates the optimization phase *)
       let checker = Cnf.Checker.create aig in
@@ -628,19 +552,19 @@ let t6 () =
               r.Synth.Dontcare.odc_replacements r.Synth.Dontcare.size_after
               r.Synth.Dontcare.sat_calls)
         variants)
-    (t1_cones ())
+    (t1_cones o)
 
 (* ---------------------------------------------------------------- *)
 (* F1: traversal size profile                                        *)
 (* ---------------------------------------------------------------- *)
 
-let f1 () =
+let f1 o =
   header "F1" "state-set representation growth (series over the arbiter family)";
   line "%-6s %14s %14s %14s@." "n" "cbq-peak-aig" "bdd-peak-node" "cbq/bdd-iters";
-  let sizes = if !quick then [ 2; 4; 6 ] else [ 2; 4; 6; 8; 10; 12 ] in
+  let sizes = if o.quick then [ 2; 4; 6 ] else [ 2; 4; 6; 8; 10; 12 ] in
   List.iter
     (fun n ->
-      with_report (Printf.sprintf "f1-arbiter%d" n) @@ fun () ->
+      with_report o (Printf.sprintf "f1-arbiter%d" n) @@ fun () ->
       let m1 = Circuits.Families.rr_arbiter ~n in
       let r1 = Cbq.Reachability.run ~config:{ Cbq.Reachability.default with make_trace = false } m1 in
       let m2 = Circuits.Families.rr_arbiter ~n in
@@ -651,9 +575,9 @@ let f1 () =
         (List.length r2.Baselines.Bdd_mc.iterations))
     sizes;
   (* per-iteration series on one instance *)
-  let n = if !quick then 4 else 8 in
+  let n = if o.quick then 4 else 8 in
   line "@.per-iteration sizes, arbiter %d (iteration: aig-frontier bdd-frontier):@." n;
-  with_report (Printf.sprintf "f1-profile-arbiter%d" n) @@ fun () ->
+  with_report o (Printf.sprintf "f1-profile-arbiter%d" n) @@ fun () ->
   let m1 = Circuits.Families.rr_arbiter ~n in
   let r1 = Cbq.Reachability.run ~config:{ Cbq.Reachability.default with make_trace = false } m1 in
   let m2 = Circuits.Families.rr_arbiter ~n in
@@ -668,9 +592,9 @@ let f1 () =
 (* F2: quantification profile                                        *)
 (* ---------------------------------------------------------------- *)
 
-let f2 () =
+let f2 o =
   header "F2" "size after each quantified variable (multiplier cone, x-operand)";
-  let n = if !quick then 4 else 6 in
+  let n = if o.quick then 4 else 6 in
   let cone = Circuits.Comb.multiplier_bit n in
   let aig = cone.Circuits.Comb.aig in
   line "cone %s: %d AND nodes, quantifying the %d x-operand variables@."
@@ -680,7 +604,7 @@ let f2 () =
   line "%-10s %s@." "config" (String.concat " " (List.init n (fun i -> Printf.sprintf "k=%-5d" (i + 1))));
   List.iter
     (fun { level_name; config } ->
-      with_report ("f2-" ^ level_name) @@ fun () ->
+      with_report o ("f2-" ^ level_name) @@ fun () ->
       let sizes =
         List.init n (fun i ->
             let s, _, _ = quantify_with config cone (i + 1) in
@@ -693,11 +617,11 @@ let f2 () =
 (* T7: forward traversal (relational image stresses the quantifier)  *)
 (* ---------------------------------------------------------------- *)
 
-let t7 () =
+let t7 o =
   header "T7" "forward CBQ (relational image) vs forward BDD";
   line "%-16s %-10s %-16s %6s %9s %9s@." "model" "engine" "verdict" "iters" "peak" "time(s)";
   let models =
-    if !quick then [ ("counter", Some 3); ("fifo-buggy", Some 2) ]
+    if o.quick then [ ("counter", Some 3); ("fifo-buggy", Some 2) ]
     else
       [
         ("counter", Some 4);
@@ -711,10 +635,10 @@ let t7 () =
   List.iter
     (fun (name, param) ->
       let m1, _ = Circuits.Registry.build name param in
-      with_report ("t7-" ^ Netlist.Model.name m1) @@ fun () ->
+      with_report o ("t7-" ^ Netlist.Model.name m1) @@ fun () ->
       let cfg = { Cbq.Reachability.default with make_trace = false } in
       let r1, dt1 =
-        Util.Stopwatch.time (fun () -> Cbq.Forward.run ~config:cfg ~limits:(row_limits ()) m1)
+        Util.Stopwatch.time (fun () -> Cbq.Forward.run ~config:cfg ~limits:(row_limits o) m1)
       in
       let v1 =
         match r1.Cbq.Reachability.verdict with
@@ -727,7 +651,7 @@ let t7 () =
         r1.Cbq.Reachability.peak_frontier dt1;
       let m2, _ = Circuits.Registry.build name param in
       let r2, dt2 =
-        Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.forward ~limits:(row_limits ()) m2)
+        Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.forward ~limits:(row_limits o) m2)
       in
       line "%-16s %-10s %-16s %6d %9d %9.4f@." (Netlist.Model.name m2) "bdd-fwd"
         (Format.asprintf "%a" Baselines.Verdict.pp r2.Baselines.Bdd_mc.verdict)
@@ -739,14 +663,14 @@ let t7 () =
 (* T8: stand-alone CEC scaling (merge engine as equivalence checker) *)
 (* ---------------------------------------------------------------- *)
 
-let t8 () =
+let t8 o =
   header "T8" "CEC: ripple-carry vs carry-lookahead carry-out";
   line "%-6s %-14s %-12s %9s %9s %9s@." "n" "verdict" "sweep-close" "merges" "sat-calls"
     "time(s)";
-  let sizes = if !quick then [ 4; 8 ] else [ 4; 8; 16; 24; 32 ] in
+  let sizes = if o.quick then [ 4; 8 ] else [ 4; 8; 16; 24; 32 ] in
   List.iter
     (fun n ->
-      with_report (Printf.sprintf "t8-adder%d" n) @@ fun () ->
+      with_report o (Printf.sprintf "t8-adder%d" n) @@ fun () ->
       let ripple = Circuits.Comb.adder_carry n in
       let cla = Circuits.Comb.carry_lookahead n in
       let r =
@@ -765,11 +689,11 @@ let t8 () =
 (* A1: traversal-option ablation                                     *)
 (* ---------------------------------------------------------------- *)
 
-let a1 () =
+let a1 o =
   header "A1" "traversal options: frontier sweeping and reached-set don't cares";
   line "%-16s %-22s %6s %9s %9s@." "model" "options" "iters" "peak" "time(s)";
   let models =
-    if !quick then [ ("fifo-buggy", Some 2); ("tmr", Some 3) ]
+    if o.quick then [ ("fifo-buggy", Some 2); ("tmr", Some 3) ]
     else [ ("counter", Some 5); ("fifo-buggy", Some 3); ("tmr", Some 3); ("johnson", Some 6) ]
   in
   let variants =
@@ -783,7 +707,7 @@ let a1 () =
   in
   List.iter
     (fun (name, param) ->
-      with_report ("a1-" ^ name) @@ fun () ->
+      with_report o ("a1-" ^ name) @@ fun () ->
       List.iter
         (fun (label, config) ->
           let m, _ = Circuits.Registry.build name param in
@@ -799,18 +723,18 @@ let a1 () =
 (* A2: sequential sweeping as preprocessing                          *)
 (* ---------------------------------------------------------------- *)
 
-let a2 () =
+let a2 o =
   header "A2" "register-correspondence sweeping before verification";
   line "%-14s %8s %8s %10s %12s %12s@." "model" "latches" "reduced" "sat-calls" "cbq-plain(s)"
     "cbq-swept(s)";
   let models =
-    if !quick then [ ("twin-shift", Some 6); ("tmr", Some 3) ]
+    if o.quick then [ ("twin-shift", Some 6); ("tmr", Some 3) ]
     else [ ("twin-shift", Some 10); ("tmr", Some 4); ("peterson", None); ("gray", Some 4) ]
   in
   List.iter
     (fun (name, param) ->
       let m1, _ = Circuits.Registry.build name param in
-      with_report ("a2-" ^ Netlist.Model.name m1) @@ fun () ->
+      with_report o ("a2-" ^ Netlist.Model.name m1) @@ fun () ->
       let cfg = { Cbq.Reachability.default with make_trace = false } in
       let _, plain_dt = Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:cfg m1) in
       let m2, _ = Circuits.Registry.build name param in
@@ -827,13 +751,13 @@ let a2 () =
 (* B1: block vs sequential quantification                            *)
 (* ---------------------------------------------------------------- *)
 
-let b1 () =
+let b1 o =
   header "B1" "quantifying variable pairs jointly (block) vs one at a time";
   line "%-10s %-6s %12s %12s@." "cone" "k" "sequential" "block";
-  let cones = if !quick then [ Circuits.Comb.multiplier_bit 4 ] else t1_cones () in
+  let cones = if o.quick then [ Circuits.Comb.multiplier_bit 4 ] else t1_cones o in
   List.iter
     (fun (cone : Circuits.Comb.cone) ->
-      with_report ("b1-" ^ cone.Circuits.Comb.name) @@ fun () ->
+      with_report o ("b1-" ^ cone.Circuits.Comb.name) @@ fun () ->
       let aig = cone.Circuits.Comb.aig in
       List.iter
         (fun k ->
@@ -864,7 +788,7 @@ let b1 () =
 (* Bechamel micro-benchmarks: one Test per table                     *)
 (* ---------------------------------------------------------------- *)
 
-let micro () =
+let micro _ =
   header "MICRO" "bechamel micro-benchmarks (one per table)";
   let open Bechamel in
   let t1_bench =
@@ -995,23 +919,11 @@ let micro () =
           table)
     results
 
-(* ---------------------------------------------------------------- *)
-
-let () =
-  Format.printf "circuit-based quantification benchmark harness%s@."
-    (if !quick then " (quick mode)" else "");
-  if wanted "T1" then t1 ();
-  if wanted "T2" then t2 ();
-  if wanted "T3" then t3 ();
-  if wanted "T4" then t4 ();
-  if wanted "T5" then t5 ();
-  if wanted "T6" then t6 ();
-  if wanted "F1" then f1 ();
-  if wanted "F2" then f2 ();
-  if wanted "T7" then t7 ();
-  if wanted "T8" then t8 ();
-  if wanted "A1" then a1 ();
-  if wanted "A2" then a2 ();
-  if wanted "B1" then b1 ();
-  if !run_micro && !selected = [] then micro ();
-  Format.printf "@.done.@."
+let rows =
+  List.map
+    (fun (name, run) -> table name run)
+    [
+      ("T1", t1); ("T2", t2); ("T3", t3); ("T4", t4); ("T5", t5); ("T6", t6); ("F1", f1);
+      ("F2", f2); ("T7", t7); ("T8", t8); ("A1", a1); ("A2", a2); ("B1", b1);
+    ]
+  @ [ table ~default:(fun o -> o.micro) "MICRO" micro ]

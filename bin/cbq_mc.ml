@@ -144,16 +144,26 @@ let quantify_backend_enum =
     (fun name -> (name, Option.get (Cbq.Quantify.backend_of_string name)))
     Cbq.Quantify.backend_names
 
-let quantify_backend_arg =
+(* one typed flag for every command; absent means the library default
+   for local runs and the server's default for daemon jobs *)
+let quantify_backend_opt_arg =
   Arg.(
     value
-    & opt (enum quantify_backend_enum) Cbq.Quantify.default.Cbq.Quantify.backend
+    & opt (some (enum quantify_backend_enum)) None
     & info [ "quantify-backend" ] ~docv:"BACKEND"
         ~doc:
-          "quantifier-elimination backend for the cbq engines: $(b,circuit) (cofactor \
-           disjunction + circuit optimization), $(b,pqe) (CNF-level partial quantifier \
-           elimination by redundancy proving), or $(b,auto) (per-variable selector with \
-           cross-backend fallback, docs/ALGORITHMS.md); the non-CBQ engines ignore it")
+          (Printf.sprintf
+             "quantifier-elimination backend for the cbq engines and hybrid: $(b,circuit) \
+              (cofactor disjunction + circuit optimization), $(b,pqe) (CNF-level partial \
+              quantifier elimination by redundancy proving), or $(b,auto) (per-variable \
+              selector with cross-backend fallback, docs/ALGORITHMS.md); the other engines \
+              ignore it. Absent, local runs use $(b,%s) and daemon jobs the server's default"
+             (Cbq.Quantify.backend_name Cbq.Quantify.default.Cbq.Quantify.backend)))
+
+let quantify_backend_arg =
+  Term.(
+    const (Option.value ~default:Cbq.Quantify.default.Cbq.Quantify.backend)
+    $ quantify_backend_opt_arg)
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"per-iteration detail")
 let trace_arg = Arg.(value & flag & info [ "t"; "trace" ] ~doc:"print the counterexample trace")
@@ -958,20 +968,6 @@ let connect_arg =
 let budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes =
   { Serve.Protocol.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes }
 
-(* kept as a plain string option: the server validates the name and the
-   [Rejected] reason reports the valid set, so a stale client cannot get
-   out of sync with a newer server's backend list *)
-let serve_quantify_backend_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "quantify-backend" ] ~docv:"BACKEND"
-        ~doc:
-          (Printf.sprintf
-             "per-job quantifier-elimination backend for the CBQ engines (%s); omitted means \
-              the server's default"
-             (String.concat " | " Cbq.Quantify.backend_names)))
-
 let serve_cmd =
   let doc = "run the persistent model-checking job daemon" in
   let man =
@@ -1059,7 +1055,7 @@ let submit_cmd =
         aig = Netlist.Aiger.write model;
         engine;
         budget = budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes;
-        quantify_backend;
+        quantify_backend = Option.map Cbq.Quantify.backend_name quantify_backend;
       }
     in
     let client = connect_client connect in
@@ -1082,7 +1078,7 @@ let submit_cmd =
   Cmd.v (Cmd.info "submit" ~doc)
     Term.(
       const run $ connect_arg $ circuit_arg $ param_arg $ aag_arg $ engine_arg
-      $ serve_quantify_backend_arg $ progress_arg $ timeout_arg $ max_conflicts_arg
+      $ quantify_backend_opt_arg $ progress_arg $ timeout_arg $ max_conflicts_arg
       $ max_aig_nodes_arg $ max_bdd_nodes_arg)
 
 let batch_cmd =
@@ -1115,7 +1111,7 @@ let batch_cmd =
             aig = Netlist.Aiger.write model;
             engine;
             budget;
-            quantify_backend;
+            quantify_backend = Option.map Cbq.Quantify.backend_name quantify_backend;
           })
         files
     in
@@ -1129,7 +1125,7 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const run $ connect_arg $ dir_arg $ engine_arg $ serve_quantify_backend_arg
+      const run $ connect_arg $ dir_arg $ engine_arg $ quantify_backend_opt_arg
       $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
 
 let ctl_cmd =

@@ -18,8 +18,8 @@ let pp_result ppf r =
     (List.length r.iterations) r.total_enumerations r.seconds
 
 (* a deliberately strict budget: quantify only while the set stays small *)
-let default_quant =
-  { Cbq.Quantify.default with growth_limit = 1.2; growth_slack = 16 }
+let strict_growth quant = { quant with Cbq.Quantify.growth_limit = 1.2; growth_slack = 16 }
+let default_quant = strict_growth Cbq.Quantify.default
 
 let run ?(quant_config = default_quant) ?(max_iterations = 200) ?(max_enumerations = 10_000)
     ?(limits = Util.Limits.unlimited) model =

@@ -24,9 +24,13 @@ type result = {
 
 val pp_result : Format.formatter -> result -> unit
 
+(** [strict_growth q] is [q] under the tight growth budget the hybrid
+    engine runs with (abort early, let SAT finish): the paper's
+    recommended division of labour. *)
+val strict_growth : Cbq.Quantify.config -> Cbq.Quantify.config
+
 (** [run ?quant_config ?max_iterations ?max_enumerations ?limits m]. The
-    default [quant_config] uses a tight growth budget (abort early, let
-    SAT finish), which is the paper's recommended division of labour.
+    default [quant_config] is [strict_growth Cbq.Quantify.default].
     [limits] is a run-wide governor as in {!Cofactor_preimage.run}. *)
 val run :
   ?quant_config:Cbq.Quantify.config ->

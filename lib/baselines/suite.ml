@@ -92,7 +92,7 @@ let engines ?(config = default_config) () =
         let r = Cofactor_preimage.run ~limits m in
         plain ~verdict:r.Cofactor_preimage.verdict Cofactor_preimage.pp_result r);
     engine "hybrid" (fun ~limits m ->
-        let r = Hybrid.run ~limits m in
+        let r = Hybrid.run ~quant_config:(Hybrid.strict_growth config.quant) ~limits m in
         plain ~verdict:r.Hybrid.verdict Hybrid.pp_result r);
   ]
 

@@ -20,7 +20,8 @@ type config = {
   make_trace : bool;  (** ask CBQ engines to rebuild counterexample traces *)
   quant : Cbq.Quantify.config;
       (** quantification settings of the CBQ engines (backend, sweeping
-          domains, budgets); the other engines ignore it *)
+          domains, budgets); [hybrid] runs them under
+          {!Hybrid.strict_growth}, the other engines ignore it *)
 }
 
 (** The bounds of the portfolio race, the serve daemon and the fuzz

@@ -289,6 +289,33 @@ let test_suite_detail () =
         (String.length printed > 9 && String.sub printed 0 9 = "FALSIFIED"))
     (Baselines.Suite.engines ())
 
+(* hybrid quantifies with the configured backend under its own tight
+   growth budget: a PQE run keeps the verdict and goes through PQE *)
+let test_suite_hybrid_backend () =
+  let run backend =
+    let config =
+      { Baselines.Suite.default_config with quant = { Cbq.Quantify.default with backend } }
+    in
+    let e = Option.get (Baselines.Suite.find ~config "hybrid") in
+    let model, _ = Circuits.Registry.build "gray" (Some 3) in
+    Obs.reset ();
+    Obs.set_enabled true;
+    let v =
+      Fun.protect
+        ~finally:(fun () -> Obs.set_enabled false)
+        (fun () -> fst (e.Baselines.Suite.run ~limits:(Util.Limits.create ()) model))
+    in
+    let ticks = (Obs.value_of "quantify.backend.circuit", Obs.value_of "quantify.backend.pqe") in
+    Obs.reset ();
+    (v, ticks)
+  in
+  let v_circuit, (circuit, pqe) = run Cbq.Quantify.Circuit in
+  check verdict_t "circuit: gray 3 proved" Baselines.Verdict.Proved v_circuit;
+  check bool "circuit: circuit backend used" true (circuit > 0 && pqe = 0);
+  let v_pqe, (circuit, pqe) = run Cbq.Quantify.Pqe in
+  check verdict_t "pqe: same verdict" v_circuit v_pqe;
+  check bool "pqe: pqe backend used" true (pqe > 0 && circuit = 0)
+
 let () =
   Alcotest.run "baselines"
     [
@@ -298,6 +325,8 @@ let () =
           Alcotest.test_case "cbq alias" `Quick test_suite_alias;
           Alcotest.test_case "standalone vs default bounds" `Quick test_suite_bounds;
           Alcotest.test_case "detail agrees with run" `Quick test_suite_detail;
+          Alcotest.test_case "hybrid honours the quantify backend" `Quick
+            test_suite_hybrid_backend;
         ] );
       ( "bdd",
         [

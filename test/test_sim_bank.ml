@@ -78,6 +78,54 @@ let test_classes_ordering () =
       | [] -> ())
     (Sweep.Sim.classes sim)
 
+(* the classes are exactly the partition the simulated patterns induce:
+   recompute every node's signature word by word with the reference
+   evaluator, fed the engine's own variable words, and bucket the nodes
+   modulo complementation *)
+let test_classes_exact_partition () =
+  List.iter
+    (fun (name, (cone : Circuits.Comb.cone)) ->
+      let aig = cone.Circuits.Comb.aig in
+      let roots = [ cone.Circuits.Comb.root ] in
+      let sim = Sweep.Sim.create aig ~roots ~rounds:8 ~prng:(Util.Prng.create 11) in
+      let and_nodes = Aig.cone aig roots in
+      let tables =
+        List.init (Sweep.Sim.words sim) (fun w ->
+            Aig.simulate_cone aig and_nodes (fun v -> Sweep.Sim.lit_word sim (Aig.var aig v) w))
+      in
+      let word_of n w table =
+        match Hashtbl.find_opt table n with
+        | Some x -> x
+        | None -> (
+          match Aig.var_of_lit aig (Aig.lit_of_node n) with
+          | Some v -> Sweep.Sim.lit_word sim (Aig.var aig v) w
+          | None -> 0L)
+      in
+      let buckets = Hashtbl.create 64 in
+      List.iter
+        (fun n ->
+          let sigs = List.mapi (fun w table -> word_of n w table) tables in
+          let phase = Int64.logand (List.hd sigs) 1L = 1L in
+          let key = if phase then List.map Int64.lognot sigs else sigs in
+          let l = if phase then Aig.not_ (Aig.lit_of_node n) else Aig.lit_of_node n in
+          Hashtbl.replace buckets key (l :: Option.value (Hashtbl.find_opt buckets key) ~default:[]))
+        (Sweep.Sim.nodes sim);
+      let canonical classes =
+        List.sort compare (List.map (List.sort_uniq Int.compare) classes)
+      in
+      let expected =
+        Hashtbl.fold (fun _ members acc -> if List.length members >= 2 then members :: acc else acc)
+          buckets []
+      in
+      check bool (name ^ ": classes = induced partition") true
+        (canonical expected = canonical (Sweep.Sim.classes sim)))
+    [
+      ("adder32", Circuits.Comb.adder_carry 32);
+      ("mult12", Circuits.Comb.multiplier_bit 12);
+      ("hwb16", Circuits.Comb.hwb 16);
+      ("rand2k", Circuits.Comb.random_cone ~vars:24 ~gates:2000 ~seed:7);
+    ]
+
 (* property: exact simulation can never separate equal functions — two
    literals equal modulo complementation always share a class (structural
    diversity exercises the compiled cone evaluator on both builds) *)
@@ -244,6 +292,8 @@ let () =
           Alcotest.test_case "refinement lane 0 matches eval" `Quick test_refine_lane0_oracle;
           Alcotest.test_case "accessors and unknown literals" `Quick test_accessors;
           Alcotest.test_case "class shape and ordering" `Quick test_classes_ordering;
+          Alcotest.test_case "classes are the exact induced partition" `Quick
+            test_classes_exact_partition;
           QCheck_alcotest.to_alcotest signatures_never_separate_equals;
           QCheck_alcotest.to_alcotest distinct_signatures_mean_distinct_functions;
         ] );
