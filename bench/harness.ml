@@ -21,7 +21,7 @@
      --row-timeout=SEC   fresh SEC-second wall-clock governor per engine run of
                          the paper tables (rows degrade to UNDECIDED)
      --timeout=SEC       par/par-probe: governor budget per engine run (default 2)
-     --jobs=N            par: racing/sweeping/fuzz domains; serve: daemon
+     --jobs=N            par: racing/fuzz domains; serve: daemon
                          workers (default 4)
      --count=N           serve: queued jobs (default 1000, 200 with --quick)
 

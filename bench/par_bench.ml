@@ -1,5 +1,5 @@
-(* Multicore-layer row: portfolio racing vs every fixed engine,
-   parallel SAT-merge sweeping, and the sharded fuzz campaign.
+(* Multicore-layer row: portfolio racing vs every fixed engine and the
+   sharded fuzz campaign.
 
    Usage:
      dune exec bench/bench.exe -- par
@@ -26,10 +26,9 @@
    live in spans, which the regress gate ignores.
 
    The row fails (the harness exits non-zero) when any portfolio verdict
-   disagrees with the registry oracle, when parallel sweeping changes an
-   equivalence class, or when the sharded campaign diverges from the
-   sequential one — so CI can use it as a correctness smoke as well as a
-   perf gate. *)
+   disagrees with the registry oracle or when the sharded campaign
+   diverges from the sequential one — so CI can use it as a correctness
+   smoke as well as a perf gate. *)
 
 open Harness
 
@@ -165,52 +164,6 @@ let run_portfolio o =
   line "@.speedup vs best fixed engine (%s): %.2fx %s@." best_name speedup
     (if speedup >= 1.5 then "(>= 1.5x: PASS)" else "(< 1.5x: FAIL)")
 
-(* ---------------- parallel SAT-merge row ---------------- *)
-
-(* merge-heavy workload: the mult-cmp miter cone — the same multiplier
-   middle bit accumulated under two full-adder associations with the
-   partial products strash-shared, so every intermediate sum and carry
-   has a semantically equal twin that only a SAT query can merge; one
-   thin simulation word keeps the candidate classes coarse so a large
-   batch of cross-pairs reaches the parallel SAT stage *)
-let sweep_workload o =
-  let m = Circuits.Families.mult_cmp ~bits:(if o.quick then 5 else 7) () in
-  let aig = Netlist.Model.aig m in
-  (aig, [ Aig.not_ m.Netlist.Model.property ])
-
-let sweep_once ~sat_jobs aig roots =
-  let checker = Cnf.Checker.create aig in
-  let prng = Util.Prng.create 77 in
-  let config =
-    { Sweep.Sweeper.default with bdd_node_limit = 0; sim_rounds = 1; sat_jobs }
-  in
-  let (repl, report), dt =
-    Util.Stopwatch.time (fun () -> Sweep.Sweeper.run ~config aig checker ~prng ~roots)
-  in
-  (List.init (Aig.num_nodes aig) repl, report, dt)
-
-let run_sweep o =
-  line "@.=== parallel SAT-merge sweeping (sat_jobs 1 vs %d) ===@." o.jobs;
-  let aig, roots = sweep_workload o in
-  let aig_par = Aig.copy aig in
-  let seq_repl, seq_report, seq_dt = sweep_once ~sat_jobs:1 aig roots in
-  let par_repl, par_report, par_dt = sweep_once ~sat_jobs:o.jobs aig_par roots in
-  line "%-10s %9s %9s %9s %9s@." "mode" "merges" "sat-calls" "refuted" "time(s)";
-  line "%-10s %9d %9d %9d %9.4f@." "seq" seq_report.Sweep.Sweeper.total_merges
-    seq_report.Sweep.Sweeper.sat_calls seq_report.Sweep.Sweeper.sat_refuted seq_dt;
-  line "%-10s %9d %9d %9d %9.4f@."
-    (Printf.sprintf "par(%d)" o.jobs)
-    par_report.Sweep.Sweeper.total_merges par_report.Sweep.Sweeper.sat_calls
-    par_report.Sweep.Sweeper.sat_refuted par_dt;
-  Obs.add (c "sweep.merges") par_report.Sweep.Sweeper.total_merges;
-  Obs.add (c "sweep.sat_calls") par_report.Sweep.Sweeper.sat_calls;
-  Obs.add (c "sweep.sat_refuted") par_report.Sweep.Sweeper.sat_refuted;
-  span "sweep.seq.time" seq_dt;
-  span "sweep.par.time" par_dt;
-  if seq_repl = par_repl && seq_report.Sweep.Sweeper.total_merges = par_report.Sweep.Sweeper.total_merges
-  then Obs.incr (c "sweep.classes_equal")
-  else fail "parallel sweep changed the merge classes (sat_jobs=%d)" o.jobs
-
 (* ---------------- sharded fuzz row ---------------- *)
 
 let run_fuzz o =
@@ -238,7 +191,6 @@ let run_fuzz o =
 let run o =
   line "=== multicore layer benchmark%s ===@." (if o.quick then " (quick)" else "");
   run_portfolio o;
-  run_sweep o;
   run_fuzz o
 
 let row =

@@ -10,13 +10,6 @@
 
 open Cmdliner
 
-let load_model circuit param aag =
-  match aag with
-  | Some path -> (Netlist.Aiger.read_file path, None)
-  | None ->
-    let model, status = Circuits.Registry.build circuit param in
-    (model, Some status)
-
 let print_minimized model t =
   let essential = Cbq.Trace.minimize model t in
   Format.printf "essential inputs (every completion is a counterexample):@.";
@@ -27,18 +20,36 @@ let print_minimized model t =
       Format.printf "@.")
     essential
 
-(* User-facing failures — a malformed model file, an unwritable or empty
-   output path — end the command with one line on stderr and exit 2,
-   never an uncaught exception. *)
+(* User-facing failures — an unknown name, a malformed model file, an
+   unwritable or empty output path — end the command with one line on
+   stderr and exit 2, never an uncaught exception. [guard] maps only the
+   exceptions that name such a failure; anything else is a bug and keeps
+   its backtrace. *)
 let fail cmd msg =
   Format.eprintf "cbq-mc %s: %s@." cmd msg;
   exit 2
 
+let malformed_aiger ~line ~token ~reason =
+  Printf.sprintf "malformed AIGER at line %d (token %S): %s" line token reason
+
 let guard cmd f =
   try f () with
   | Netlist.Aiger.Parse_error { line; token; reason } ->
-    fail cmd (Printf.sprintf "malformed AIGER at line %d (token %S): %s" line token reason)
+    fail cmd (malformed_aiger ~line ~token ~reason)
   | Sys_error msg -> fail cmd msg
+  | Unix.Unix_error (e, _, arg) -> fail cmd (Printf.sprintf "%s: %s" arg (Unix.error_message e))
+
+let build_circuit cmd circuit param =
+  match Circuits.Registry.find circuit with
+  | None -> fail cmd (Printf.sprintf "unknown circuit %S (see cbq-mc list)" circuit)
+  | Some _ -> Circuits.Registry.build circuit param
+
+let load_model cmd circuit param aag =
+  match aag with
+  | Some path -> (Netlist.Aiger.read_file path, None)
+  | None ->
+    let model, status = build_circuit cmd circuit param in
+    (model, Some status)
 
 (* Run one engine and print its report: the result line (and -v
    iteration lines), then the counterexample under -t, or the checked
@@ -130,14 +141,6 @@ let jobs_arg =
         ~doc:
           "domains for the portfolio race (default: one per engine, capped by the machine's \
            recommended domain count); ignored by single engines")
-
-let sweep_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "sweep-jobs" ] ~docv:"N"
-        ~doc:
-          "domains for the sweeper's SAT-merge stage inside the cbq engines (docs/PARALLEL.md); \
-           1 keeps the stage fully sequential")
 
 let quantify_backend_enum =
   List.map
@@ -299,13 +302,17 @@ let emit_stats ~stats ~stats_json ~store ~model ~engine ~quantify_backend ~watch
 
 let run_cmd =
   let doc = "verify a circuit's safety property" in
-  let run circuit param aag engine jobs sweep_jobs quantify_backend verbose trace seq_sweep coi
+  let run circuit param aag engine jobs quantify_backend verbose trace seq_sweep coi
       minimize stats stats_json trace_json progress sample_interval store timeout max_conflicts
       max_aig_nodes max_bdd_nodes =
     guard "run" @@ fun () ->
     List.iter
       (fun (flag, path) -> if path = Some "" then fail "run" (flag ^ " needs a file name"))
       [ ("--stats-json", stats_json); ("--trace-json", trace_json) ];
+    Option.iter
+      (fun i ->
+        if not (i > 0.0) then fail "run" "--sample-interval needs a positive number of seconds")
+      sample_interval;
     (* --progress reads the sweep merge counters, --sample-interval and
        --store record them, so all three need the registry live even
        without --stats *)
@@ -342,7 +349,7 @@ let run_cmd =
           Option.iter Obs.Sampler.stop sampler;
           Obs.Progress.finish ())
         (fun () ->
-          let model, status = load_model circuit param aag in
+          let model, status = load_model "run" circuit param aag in
           Format.printf "model %s: %a@." (Netlist.Model.name model) Netlist.Model.pp_stats
             (Netlist.Model.stats model);
           let model =
@@ -364,19 +371,10 @@ let run_cmd =
           let make_limits () =
             Util.Limits.create ?timeout ?max_conflicts ?max_aig_nodes ?max_bdd_nodes ()
           in
-          (* a lone engine runs under the standalone BMC/induction bounds
-             and the --sweep-jobs domains; the race keeps the Suite
-             defaults and stays sequential inside each racer *)
+          (* a lone engine runs under the standalone BMC/induction bounds;
+             the race keeps the Suite defaults *)
           let quant = { Cbq.Quantify.default with backend = quantify_backend } in
           let race_config = { Baselines.Suite.default_config with make_trace = trace; quant } in
-          let quant =
-            if sweep_jobs <= 1 then quant
-            else
-              {
-                quant with
-                Cbq.Quantify.sweep = { quant.Cbq.Quantify.sweep with sat_jobs = sweep_jobs };
-              }
-          in
           let config = { Baselines.Suite.standalone_config with make_trace = trace; quant } in
           let verdict =
             verify ~engine ~config ~race_config ?jobs ~make_limits ~limits ~verbose
@@ -423,7 +421,7 @@ let run_cmd =
   in
   ( Cmd.info "run" ~doc,
     Term.(
-      const run $ circuit_arg $ param_arg $ aag_arg $ engine_arg $ jobs_arg $ sweep_jobs_arg
+      const run $ circuit_arg $ param_arg $ aag_arg $ engine_arg $ jobs_arg
       $ quantify_backend_arg $ verbose_arg $ trace_arg $ seq_sweep_arg $ coi_arg $ minimize_arg
       $ stats_arg $ stats_json_arg $ trace_json_arg $ progress_arg $ sample_interval_arg
       $ store_opt_arg $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg
@@ -441,7 +439,8 @@ let export_cmd =
   in
   let binary_arg = Arg.(value & flag & info [ "binary" ] ~doc:"compact binary 'aig' format") in
   let run circuit param out binary =
-    let model, _ = Circuits.Registry.build circuit param in
+    guard "export" @@ fun () ->
+    let model, _ = build_circuit "export" circuit param in
     if binary then Netlist.Aiger.write_binary_file model out else Netlist.Aiger.write_file model out;
     Format.printf "wrote %s (%a)@." out Netlist.Model.pp_stats (Netlist.Model.stats model)
   in
@@ -460,7 +459,10 @@ let quantify_cmd =
   in
   let run cone n k backend =
     match List.assoc_opt cone Circuits.Comb.catalogue with
-    | None -> Format.printf "unknown cone %S@." cone
+    | None ->
+      fail "quantify"
+        (Printf.sprintf "unknown cone %S (expected one of: %s)" cone
+           (String.concat ", " (List.map fst Circuits.Comb.catalogue)))
     | Some make ->
       let c = make n in
       let aig = c.Circuits.Comb.aig in
@@ -500,7 +502,7 @@ let reduce_cmd =
   in
   let run circuit param aag out =
     guard "reduce" @@ fun () ->
-    let model, _ = load_model circuit param aag in
+    let model, _ = load_model "reduce" circuit param aag in
     Format.printf "model %s: %a@." (Netlist.Model.name model) Netlist.Model.pp_stats
       (Netlist.Model.stats model);
     let model, coi_report = Netlist.Coi.reduce model in
@@ -604,9 +606,10 @@ let fuzz_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "shard the campaign across $(docv) domains. Per-model seeds are derived from the \
-             master seed by index, and corpus writes are funnelled through one domain in index \
-             order, so results and repro files are identical at any $(docv)")
+            "shard the campaign across $(docv) domains, at most one per model and the machine's \
+             recommended domain count. Per-model seeds are derived from the master seed by \
+             index, and corpus writes are funnelled through one domain in index order, so \
+             results and repro files are identical at any $(docv)")
   in
   let inject_fault_arg =
     Arg.(value & flag
@@ -995,7 +998,7 @@ let serve_cmd =
       Obs.set_enabled true
     end;
     let ceiling = budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes in
-    let store = Option.map Obs.Store.open_ store in
+    let store = guard "serve" @@ fun () -> Option.map Obs.Store.open_ store in
     let server =
       try Serve.Server.start ?jobs ~ceiling ?store listen
       with Unix.Unix_error (e, _, arg) ->
@@ -1047,7 +1050,7 @@ let submit_cmd =
   let run connect circuit param aag engine quantify_backend progress timeout max_conflicts
       max_aig_nodes max_bdd_nodes =
     guard "submit" @@ fun () ->
-    let model, _status = load_model circuit param aag in
+    let model, _status = load_model "submit" circuit param aag in
     let spec =
       {
         Serve.Client.tag = "cli";
@@ -1091,6 +1094,7 @@ let batch_cmd =
   in
   let run connect dir engine quantify_backend timeout max_conflicts max_aig_nodes
       max_bdd_nodes =
+    guard "batch" @@ fun () ->
     let files =
       Sys.readdir dir |> Array.to_list
       |> List.filter (fun f -> Filename.check_suffix f ".aag" || Filename.check_suffix f ".aig")
@@ -1104,7 +1108,12 @@ let batch_cmd =
     let specs =
       List.map
         (fun f ->
-          let model = Netlist.Aiger.read_file (Filename.concat dir f) in
+          let path = Filename.concat dir f in
+          let model =
+            try Netlist.Aiger.read_file path
+            with Netlist.Aiger.Parse_error { line; token; reason } ->
+              fail "batch" (path ^ ": " ^ malformed_aiger ~line ~token ~reason)
+          in
           {
             Serve.Client.tag = f;
             model_name = Filename.remove_extension f;

@@ -48,22 +48,6 @@ let create ?(initial_capacity = 1024) () =
   Util.Vec_int.push t.levels 0;
   t
 
-(* A copy preserves node ids, literal values and variable indices exactly,
-   so literals of the original manager are valid in the copy. The copy
-   shares no mutable state with the original — safe to hand to another
-   domain. *)
-let copy t =
-  {
-    fanin0 = Util.Vec_int.copy t.fanin0;
-    fanin1 = Util.Vec_int.copy t.fanin1;
-    levels = Util.Vec_int.copy t.levels;
-    strash = Hashtbl.copy t.strash;
-    var_nodes = Util.Vec_int.copy t.var_nodes;
-    ands = t.ands;
-    strash_hits = t.strash_hits;
-    rewrites = t.rewrites;
-  }
-
 let num_nodes t = Util.Vec_int.length t.fanin0
 let num_ands t = t.ands
 let num_vars t = Util.Vec_int.length t.var_nodes

@@ -22,14 +22,6 @@ type var = int
 
 val create : ?initial_capacity:int -> unit -> t
 
-(** [copy t] is a structurally identical manager sharing no mutable state
-    with [t]: node ids, literal values and variable indices coincide, so
-    literals of [t] denote the same functions in the copy. The basis of
-    per-domain manager replication in the parallel sweeper — each worker
-    reasons about its own copy while the originals' literals remain the
-    common currency. *)
-val copy : t -> t
-
 val false_ : lit
 val true_ : lit
 

@@ -17,7 +17,9 @@ type result = { count : int; failures : failure_report list }
 
 let run ?(knobs = Gen.default) ?(config = Oracle.default_config) ?corpus_dir ?(shrink = true)
     ?(max_shrink_candidates = 400) ?on_model ?(jobs = 1) ~seed ~count () =
-  let jobs = max 1 (min jobs (max 1 count)) in
+  (* more shards than models or than cores only adds idle domains; the
+     clamp cannot change results, which are index-local *)
+  let jobs = max 1 (min jobs (min count (Par.Pool.default_jobs ()))) in
   let on_model_lock = Mutex.create () in
   let notify i model_seed =
     match on_model with

@@ -23,12 +23,13 @@ type result = { count : int; failures : failure_report list }
     Failures are shrunk (unless [shrink:false]) and persisted to
     [corpus_dir] when given.
 
-    [jobs > 1] shards the campaign indices across that many domains
-    (worker [w] checks and shrinks indices [w], [w+jobs], …). Per-model
-    seeds come from {!Gen.derive_seed}, so every index generates the same
-    model at any [jobs]; corpus writes are funnelled through the calling
-    domain in index order after all shards join, so the failure list and
-    the corpus on disk are identical to a sequential campaign's. The only
+    [jobs > 1] shards the campaign indices across that many domains,
+    clamped to [count] and to {!Par.Pool.default_jobs} (worker [w] checks
+    and shrinks indices [w], [w+jobs], …). Per-model seeds come from
+    {!Gen.derive_seed}, so every index generates the same model at any
+    [jobs]; corpus writes are funnelled through the calling domain in
+    index order after all shards join, so the failure list and the
+    corpus on disk are identical to a sequential campaign's. The only
     parallel-mode differences: [on_model] fires from worker domains
     (serialized by a mutex, not in index order), and wall-clock interleaving
     of the [fuzz.*] counters. *)

@@ -1,63 +1,7 @@
 let obs_batches = Obs.counter "par.pool.batches"
-let obs_tasks = Obs.counter "par.pool.tasks"
 let obs_domains = Obs.counter "par.pool.domains"
 
 let default_jobs () = Domain.recommended_domain_count ()
-
-(* Dynamic work distribution: each worker claims the next unprocessed
-   index with one fetch-and-add. Every result slot is written by
-   exactly one worker and read only after the join, so the plain
-   result array needs no synchronization. *)
-let map ~jobs f items =
-  let n = Array.length items in
-  if n = 0 then [||]
-  else begin
-    let jobs = max 1 (min jobs n) in
-    Obs.incr obs_batches;
-    Obs.add obs_tasks n;
-    if jobs = 1 then Array.map f items
-    else begin
-      let results = Array.make n None in
-      let next = Atomic.make 0 in
-      let failure = Atomic.make None in
-      let worker () =
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue := false
-          else
-            match f items.(i) with
-            | v -> results.(i) <- Some v
-            | exception exn ->
-              (* first failure wins; drain the remaining indices so
-                 every worker terminates and can be joined. The raw
-                 backtrace is captured here, at the catch site — a bare
-                 [raise] after the join would report the join point,
-                 not the worker frame that actually failed *)
-              let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set failure None (Some (exn, bt)));
-              Atomic.set next n;
-              continue := false
-        done
-      in
-      Obs.add obs_domains (jobs - 1);
-      let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      List.iter Domain.join domains;
-      match Atomic.get failure with
-      | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-      | None ->
-        Array.map
-          (function
-            | Some v -> v
-            | None ->
-              (* unreachable: no failure means every index was processed *)
-              assert false)
-          results
-    end
-  end
-
-let map_list ~jobs f items = Array.to_list (map ~jobs f (Array.of_list items))
 
 let run_shards ~jobs f =
   if jobs < 1 then invalid_arg "Pool.run_shards: jobs < 1"
@@ -65,6 +9,9 @@ let run_shards ~jobs f =
   else begin
     Obs.incr obs_batches;
     Obs.add obs_domains (jobs - 1);
+    (* the raw backtrace is captured at the catch site, inside the shard:
+       re-raising after the join would otherwise report the join point,
+       not the frame that actually failed *)
     let failures = Array.make jobs None in
     let shard w =
       match f w with

@@ -1,38 +1,24 @@
-(** Fork/join parallel mapping over OCaml 5 domains.
+(** Fork/join sharding over OCaml 5 domains.
 
-    The primitive under the multicore consumers (parallel SAT-merge
-    batches, sharded fuzz campaigns): apply a function to every element
-    of a batch on up to [jobs] domains and return the results {e in
-    input order}, so callers that apply results sequentially afterwards
-    stay deterministic regardless of completion order.
+    The one pool primitive, under the sharded fuzz campaign: run a fixed
+    number of shards concurrently, each with a static identity, and wait
+    for all of them. The calling domain runs shard 0: [jobs = 1] runs
+    inline with no domain spawned, [jobs = n] spawns [n - 1].
 
-    Work distribution is dynamic (an atomic next-index cursor), so
-    uneven items — one hard SAT query among many trivial ones — do not
-    idle the other domains. The calling domain participates as a
-    worker: [jobs = 1] runs the batch inline with no domain spawned,
-    [jobs = n] spawns [n - 1].
-
-    Exceptions raised by [f] are re-raised in the calling domain after
-    every worker has been joined (the first one wins); no domain is
-    ever left running. *)
+    Exceptions raised by a shard are re-raised in the calling domain only
+    after every shard has finished; no domain is ever left running. *)
 
 (** [Domain.recommended_domain_count ()] — the whole-machine default
     for a [--jobs] flag. *)
 val default_jobs : unit -> int
 
-(** [map ~jobs f items] — [Array.map f items] on up to [jobs] domains.
-    [jobs] is clamped to [1 .. Array.length items]. *)
-val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-
-(** {!map} over lists. *)
-val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
 (** [run_shards ~jobs f] runs [f 0], …, [f (jobs-1)] concurrently, shard 0
     on the calling domain and each other shard on its own fresh domain,
-    and waits for all of them. Unlike {!map}'s dynamic work claiming, the
-    shard index is a {e static} identity: use it when each worker carries
-    its own state (a solver, a manager copy) and the mapping of work to
-    worker state must be a deterministic function of [jobs] — e.g.
-    worker [w] takes items [w], [w+jobs], [w+2*jobs], … The first
-    exception (by shard index) is re-raised after all shards finish. *)
+    and waits for all of them. The shard index is a {e static} identity:
+    use it when the mapping of work to worker must be a deterministic
+    function of [jobs] — e.g. worker [w] takes items [w], [w+jobs],
+    [w+2*jobs], … [jobs] is not clamped (a shard index must not change
+    meaning behind the caller's back), so callers bound it themselves.
+    The first exception (by shard index) is re-raised after all shards
+    finish. Raises [Invalid_argument] when [jobs < 1]. *)
 val run_shards : jobs:int -> (int -> unit) -> unit

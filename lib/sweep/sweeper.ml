@@ -22,15 +22,12 @@ let obs_refinements = Obs.counter "sweep.sim.refinements"
 let obs_cone_size = Obs.histogram "sweep.cone_size"
 let obs_bdd_stage_skips = Obs.counter "limits.bdd_stage_skips"
 let obs_sat_stage_breaks = Obs.counter "limits.sat_stage_breaks"
-let obs_sat_batches = Obs.counter "sweep.sat.par_batches"
-let obs_sat_batched_pairs = Obs.counter "sweep.sat.par_batched_pairs"
 
 type config = {
   sim_rounds : int;
   bdd_node_limit : int;
   sat : direction option;
   sat_conflict_limit : int option;
-  sat_jobs : int;
 }
 
 let default =
@@ -39,7 +36,6 @@ let default =
     bdd_node_limit = 5_000;
     sat = Some Forward;
     sat_conflict_limit = Some 10_000;
-    sat_jobs = 1;
   }
 
 type report = {
@@ -180,202 +176,67 @@ let run ?(config = default) ?bank aig checker ~prng ~roots =
       | Forward -> List.stable_sort (fun a b -> Int.compare (key a) (key b)) pairs
       | Backward -> List.stable_sort (fun a b -> Int.compare (key b) (key a)) pairs
     in
-    if config.sat_jobs <= 1 then begin
-      (* sequential: one shared checker, answers applied immediately *)
-      let progress = ref true in
-      while !progress do
-        progress := false;
-        let rec process = function
-          | [] -> ()
-          | _ :: _ when Util.Limits.check limits <> None ->
-            (* governor tripped mid-stage: abandon the remaining compare
-               points but keep every merge already proven *)
-            Obs.incr obs_sat_stage_breaks;
-            Obs.Trace_events.instant "sweep.sat.limit_break";
-            progress := false
-          | (repr, m) :: rest ->
-            let ra = Merge_map.find_lit mm repr and rb = Merge_map.find_lit mm m in
-            if Aig.node_of_lit ra = Aig.node_of_lit rb then process rest
-            else if Hashtbl.mem hard (Aig.node_of_lit repr, Aig.node_of_lit m) then process rest
-            else if
-              direction = Backward
-              && Util.Int_tbl.mem covered (Aig.node_of_lit repr)
-              && Util.Int_tbl.mem covered (Aig.node_of_lit m)
-            then begin
-              incr sat_skipped;
-              process rest
-            end
-            else begin
-              incr sat_calls;
-              match Cnf.Checker.equal checker ra rb with
-              | Cnf.Checker.Yes ->
-                Merge_map.union mm ra rb;
-                incr sat_merges;
-                if direction = Backward then begin
-                  cover ra;
-                  cover rb
-                end;
-                process rest
-              | Cnf.Checker.No when !Fault.injected ->
-                (* deliberately unsound merge of a SAT-refuted pair; only
-                   reachable when the fuzzer's self-test flips {!Fault} *)
-                Merge_map.union mm ra rb;
-                incr sat_merges;
-                process rest
-              | Cnf.Checker.No ->
-                incr sat_refuted;
-                (* distill the distinguishing model into the persistent bank
-                   (assigned variables only — free ones carry no information)
-                   so it keeps refuting candidates in later sweeps/frames *)
-                (match bank with
-                | Some b -> Pattern_bank.add b (Cnf.Checker.assigned_model checker (Sim.vars sim))
-                | None -> ());
-                (* fold the distinguishing model back into the signatures:
-                   this splits every class the model distinguishes, so the
-                   pair list must be recomputed *)
-                ignore (Sim.refine sim (fun v -> Cnf.Checker.model_var checker v));
-                progress := true
-              | Cnf.Checker.Maybe ->
-                incr sat_unknown;
-                Hashtbl.replace hard (Aig.node_of_lit repr, Aig.node_of_lit m) ();
-                process rest
-            end
-        in
-        process (ordered_pairs ())
-      done
-    end
-    else begin
-      (* parallel: each round's surviving compare points are batched
-         across a static shard of worker checkers (docs/PARALLEL.md).
-         Worker [w] owns checker [w] and answers pairs [w], [w+jobs], …
-         of the batch against its own Aig.copy — literal values coincide
-         by construction — while all state mutation (union, bank
-         distillation, signature refinement) happens here on the calling
-         domain, in batch order. Determinism: the batch order is the
-         sequential pair order, the pair→worker mapping depends only on
-         [sat_jobs], and each worker's solver state is a deterministic
-         function of the queries its shard ran. *)
-      let jobs = config.sat_jobs in
-      let sim_vars = Sim.vars sim in
-      let replicas =
-        Array.init jobs (fun w ->
-            if w = 0 then checker (* the caller's checker keeps learning, as in sequential mode *)
-            else begin
-              let wchecker = Cnf.Checker.create (Aig.copy aig) in
-              Cnf.Checker.set_limits wchecker limits;
-              Cnf.Checker.set_conflict_limit wchecker config.sat_conflict_limit;
-              wchecker
-            end)
-      in
-      let module R = struct
-        type reply =
-          | R_pending
-          | R_yes
-          | R_no of { assigned : (Aig.var * bool) list; total : (Aig.var * bool) list }
-          | R_maybe
-          | R_cut (* governor tripped before this pair's query ran *)
-      end in
-      let progress = ref true in
-      while !progress do
-        progress := false;
-        if Util.Limits.check limits <> None then begin
+    let progress = ref true in
+    while !progress do
+      progress := false;
+      let rec process = function
+        | [] -> ()
+        | _ :: _ when Util.Limits.check limits <> None ->
+          (* governor tripped mid-stage: abandon the remaining compare
+             points but keep every merge already proven *)
           Obs.incr obs_sat_stage_breaks;
-          Obs.Trace_events.instant "sweep.sat.limit_break"
-        end
-        else begin
-          (* the batch is exactly the pairs the sequential loop would
-             query from this state; skips are accounted here so the two
-             modes agree on [sat_skipped] *)
-          let batch =
-            List.filter_map
-              (fun (repr, m) ->
-                let ra = Merge_map.find_lit mm repr and rb = Merge_map.find_lit mm m in
-                if Aig.node_of_lit ra = Aig.node_of_lit rb then None
-                else if Hashtbl.mem hard (Aig.node_of_lit repr, Aig.node_of_lit m) then None
-                else if
-                  direction = Backward
-                  && Util.Int_tbl.mem covered (Aig.node_of_lit repr)
-                  && Util.Int_tbl.mem covered (Aig.node_of_lit m)
-                then begin
-                  incr sat_skipped;
-                  None
-                end
-                else Some (repr, m, ra, rb))
-              (ordered_pairs ())
-            |> Array.of_list
-          in
-          let n = Array.length batch in
-          if n > 0 then begin
-            Obs.incr obs_sat_batches;
-            Obs.add obs_sat_batched_pairs n;
-            let replies = Array.make n R.R_pending in
-            Par.Pool.run_shards ~jobs (fun w ->
-                let wchecker = replicas.(w) in
-                let i = ref w in
-                while !i < n do
-                  let _, _, ra, rb = batch.(!i) in
-                  replies.(!i) <-
-                    (if Util.Limits.check limits <> None then R.R_cut
-                     else
-                       match Cnf.Checker.equal wchecker ra rb with
-                       | Cnf.Checker.Yes -> R.R_yes
-                       | Cnf.Checker.No ->
-                         (* materialize the witness now: later queries on
-                            this checker overwrite it *)
-                         R.R_no
-                           {
-                             assigned = Cnf.Checker.assigned_model wchecker sim_vars;
-                             total =
-                               List.map
-                                 (fun v -> (v, Cnf.Checker.model_var wchecker v))
-                                 sim_vars;
-                           }
-                       | Cnf.Checker.Maybe -> R.R_maybe);
-                  i := !i + jobs
-                done);
-            Array.iteri
-              (fun i reply ->
-                let repr, m, ra, rb = batch.(i) in
-                match reply with
-                | R.R_pending -> assert false (* every slot is written by its shard *)
-                | R.R_cut ->
-                  (* trips are sticky, so forcing one more round makes its
-                     entry check record the stage break and stop *)
-                  progress := true
-                | R.R_yes ->
-                  incr sat_calls;
-                  Merge_map.union mm ra rb;
-                  incr sat_merges;
-                  if direction = Backward then begin
-                    cover ra;
-                    cover rb
-                  end
-                | R.R_no { assigned = _; total } when !Fault.injected ->
-                  ignore total;
-                  incr sat_calls;
-                  Merge_map.union mm ra rb;
-                  incr sat_merges
-                | R.R_no { assigned; total } ->
-                  incr sat_calls;
-                  incr sat_refuted;
-                  (match bank with
-                  | Some b -> Pattern_bank.add b assigned
-                  | None -> ());
-                  let tbl = Hashtbl.create (List.length total) in
-                  List.iter (fun (v, b) -> Hashtbl.replace tbl v b) total;
-                  ignore
-                    (Sim.refine sim (fun v ->
-                         match Hashtbl.find_opt tbl v with Some b -> b | None -> false));
-                  progress := true
-                | R.R_maybe ->
-                  incr sat_calls;
-                  incr sat_unknown;
-                  Hashtbl.replace hard (Aig.node_of_lit repr, Aig.node_of_lit m) ())
-              replies
+          Obs.Trace_events.instant "sweep.sat.limit_break";
+          progress := false
+        | (repr, m) :: rest ->
+          let ra = Merge_map.find_lit mm repr and rb = Merge_map.find_lit mm m in
+          if Aig.node_of_lit ra = Aig.node_of_lit rb then process rest
+          else if Hashtbl.mem hard (Aig.node_of_lit repr, Aig.node_of_lit m) then process rest
+          else if
+            direction = Backward
+            && Util.Int_tbl.mem covered (Aig.node_of_lit repr)
+            && Util.Int_tbl.mem covered (Aig.node_of_lit m)
+          then begin
+            incr sat_skipped;
+            process rest
           end
-        end
-      done
-    end;
+          else begin
+            incr sat_calls;
+            match Cnf.Checker.equal checker ra rb with
+            | Cnf.Checker.Yes ->
+              Merge_map.union mm ra rb;
+              incr sat_merges;
+              if direction = Backward then begin
+                cover ra;
+                cover rb
+              end;
+              process rest
+            | Cnf.Checker.No when !Fault.injected ->
+              (* deliberately unsound merge of a SAT-refuted pair; only
+                 reachable when the fuzzer's self-test flips {!Fault} *)
+              Merge_map.union mm ra rb;
+              incr sat_merges;
+              process rest
+            | Cnf.Checker.No ->
+              incr sat_refuted;
+              (* distill the distinguishing model into the persistent bank
+                 (assigned variables only — free ones carry no information)
+                 so it keeps refuting candidates in later sweeps/frames *)
+              (match bank with
+              | Some b -> Pattern_bank.add b (Cnf.Checker.assigned_model checker (Sim.vars sim))
+              | None -> ());
+              (* fold the distinguishing model back into the signatures:
+                 this splits every class the model distinguishes, so the
+                 pair list must be recomputed *)
+              ignore (Sim.refine sim (fun v -> Cnf.Checker.model_var checker v));
+              progress := true
+            | Cnf.Checker.Maybe ->
+              incr sat_unknown;
+              Hashtbl.replace hard (Aig.node_of_lit repr, Aig.node_of_lit m) ();
+              process rest
+          end
+      in
+      process (ordered_pairs ())
+    done;
     Obs.Trace_events.end_args "sweep.sat" "merges" !sat_merges);
   let report =
     {

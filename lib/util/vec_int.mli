@@ -47,7 +47,6 @@ val to_list : t -> int list
 val of_list : int list -> t
 val to_array : t -> int array
 val of_array : int array -> t
-val copy : t -> t
 
 (** [blit_push dst src] appends the whole contents of [src] to [dst]. *)
 val blit_push : t -> t -> unit

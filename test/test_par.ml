@@ -1,7 +1,7 @@
-(* The multicore layer: pool mapping and sharding, frozen-model cloning,
+(* The multicore layer: pool sharding, frozen-model cloning,
    first-decisive-wins racing with cooperative cancellation, the
-   portfolio engine's agreement with single-engine runs, parallel
-   SAT-merge determinism and parallel fuzz-campaign determinism.
+   portfolio engine's agreement with single-engine runs and parallel
+   fuzz-campaign determinism.
 
    Everything here must hold on a single-core box: the contracts are
    about ordering, isolation and cancellation, not speed. *)
@@ -12,27 +12,52 @@ let bool = Alcotest.bool
 
 (* ---------- pool ---------- *)
 
-let test_map_preserves_order () =
-  let items = Array.init 100 (fun i -> i) in
-  List.iter
-    (fun jobs ->
-      let out = Par.Pool.map ~jobs (fun i -> (i * 7) + 1) items in
-      Array.iteri
-        (fun i v -> check int (Printf.sprintf "jobs=%d slot %d" jobs i) ((i * 7) + 1) v)
-        out)
-    [ 1; 2; 4; 150 (* more jobs than items: clamped *) ]
-
-let test_map_empty_and_singleton () =
-  check int "empty" 0 (Array.length (Par.Pool.map ~jobs:4 (fun x -> x) [||]));
-  check bool "singleton" true (Par.Pool.map ~jobs:4 string_of_int [| 9 |] = [| "9" |])
+let test_run_shards_edge_cases () =
+  (* one shard runs inline on the caller's domain *)
+  let caller = Domain.self () in
+  let seen = ref [] in
+  Par.Pool.run_shards ~jobs:1 (fun w -> seen := (w, Domain.self () = caller) :: !seen);
+  check bool "jobs=1 runs shard 0 inline" true (!seen = [ (0, true) ]);
+  match Par.Pool.run_shards ~jobs:0 (fun _ -> ()) with
+  | () -> Alcotest.fail "jobs=0 must be rejected"
+  | exception Invalid_argument _ -> ()
 
 exception Boom of int
 
-let test_map_reraises_failure () =
-  match Par.Pool.map ~jobs:3 (fun i -> if i = 17 then raise (Boom i) else i) (Array.init 40 Fun.id)
+let test_run_shards_reraises_after_all_finish () =
+  (* shard 1 fails at once; shards 0 and 2 only finish well after that
+     failure, and shard 2 fails too. The caller must see shard 1's
+     exception (first by index), and only once every shard is done *)
+  let jobs = 3 in
+  let raised = Atomic.make false in
+  let finished = Array.init jobs (fun _ -> Atomic.make false) in
+  let linger () =
+    while not (Atomic.get raised) do
+      Domain.cpu_relax ()
+    done;
+    for _ = 1 to 200_000 do
+      Domain.cpu_relax ()
+    done
+  in
+  match
+    Par.Pool.run_shards ~jobs (fun w ->
+        match w with
+        | 1 ->
+          Atomic.set raised true;
+          raise (Boom 1)
+        | 2 ->
+          linger ();
+          Atomic.set finished.(2) true;
+          raise (Boom 2)
+        | _ ->
+          linger ();
+          Atomic.set finished.(w) true)
   with
-  | _ -> Alcotest.fail "expected the worker exception to surface"
-  | exception Boom 17 -> ()
+  | () -> Alcotest.fail "expected the shard exception to surface"
+  | exception Boom w ->
+    check int "first failing shard by index wins" 1 w;
+    check bool "shard 0 finished first" true (Atomic.get finished.(0));
+    check bool "shard 2 finished first" true (Atomic.get finished.(2))
 
 let test_run_shards_covers_all_indices () =
   let n = 97 and jobs = 4 in
@@ -73,9 +98,9 @@ let test_freeze_thaw_across_domains () =
   let m = Fuzz.Gen.model ~seed:42 () in
   let frozen = Par.Clone.freeze m in
   let bytes = Netlist.Aiger.write m in
-  let thawed =
-    Par.Pool.map ~jobs:4 (fun _ -> Netlist.Aiger.write (Par.Clone.thaw frozen)) [| 0; 1; 2; 3 |]
-  in
+  let jobs = 4 in
+  let thawed = Array.make jobs "" in
+  Par.Pool.run_shards ~jobs (fun w -> thawed.(w) <- Netlist.Aiger.write (Par.Clone.thaw frozen));
   Array.iter (fun b -> check bool "thawed on a worker domain, still identical" true (b = bytes)) thawed
 
 (* ---------- race ---------- *)
@@ -176,46 +201,6 @@ let test_portfolio_agrees_with_sequential () =
         (Baselines.Suite.engines ()))
     [ ("counter", 4); ("gray", 3) ]
 
-(* ---------- parallel SAT-merge determinism ---------- *)
-
-(* two structurally different, semantically equal XOR trees and a few
-   shared subfunctions: plenty of candidate classes for the SAT stage *)
-let sweep_instance () =
-  let aig = Aig.create () in
-  let n = 8 in
-  let xs = List.init n (Aig.var aig) in
-  let sum1 = List.fold_left (Aig.xor_ aig) Aig.false_ xs in
-  let sum2 = List.fold_right (fun x acc -> Aig.xor_ aig acc x) xs Aig.false_ in
-  let x0 = List.hd xs in
-  let roots = [ Aig.and_ aig sum1 x0; Aig.and_ aig sum2 x0; Aig.or_ aig sum1 (Aig.not_ x0) ] in
-  (aig, roots)
-
-let sweep_classes ~sat_jobs aig roots =
-  let checker = Cnf.Checker.create aig in
-  let prng = Util.Prng.create 5 in
-  let config = { Sweep.Sweeper.default with bdd_node_limit = 0; sat_jobs } in
-  let repl, report = Sweep.Sweeper.run ~config aig checker ~prng ~roots in
-  (List.init (Aig.num_nodes aig) repl, report)
-
-let test_parallel_sweep_matches_sequential () =
-  let aig, roots = sweep_instance () in
-  (* the parallel run works on a pristine copy: both runs see the same
-     manager state, node ids and literal values *)
-  let aig2 = Aig.copy aig in
-  let seq_repl, seq_report = sweep_classes ~sat_jobs:1 aig roots in
-  let par_repl, par_report = sweep_classes ~sat_jobs:3 aig2 roots in
-  check bool "identical merge substitution" true (seq_repl = par_repl);
-  check int "identical merge count" seq_report.Sweep.Sweeper.total_merges
-    par_report.Sweep.Sweeper.total_merges;
-  check bool "the SAT stage actually merged something" true
-    (seq_report.Sweep.Sweeper.sat_merges > 0)
-
-let test_parallel_sweep_jobs_deterministic () =
-  let aig, roots = sweep_instance () in
-  let a, _ = sweep_classes ~sat_jobs:3 (Aig.copy aig) roots in
-  let b, _ = sweep_classes ~sat_jobs:3 (Aig.copy aig) roots in
-  check bool "same (seed, jobs) => same substitution" true (a = b)
-
 (* ---------- parallel fuzz determinism ---------- *)
 
 let campaign ~jobs =
@@ -235,14 +220,27 @@ let test_parallel_fuzz_matches_sequential () =
   check bool "same failing seeds in the same order" true (seeds seq = seeds par);
   check bool "same failure classes" true (labels seq = labels par)
 
+let test_fuzz_jobs_clamped_to_machine () =
+  (* --jobs beyond the core count must not spawn a domain per job *)
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      ignore (Fuzz.Runner.run ~shrink:false ~jobs:8 ~seed:42 ~count:8 ());
+      check bool "domains spawned <= recommended - 1" true
+        (Obs.value_of "par.pool.domains" <= Domain.recommended_domain_count () - 1))
+
 let () =
   Alcotest.run "par"
     [
       ( "pool",
         [
-          Alcotest.test_case "map preserves order" `Quick test_map_preserves_order;
-          Alcotest.test_case "map edge cases" `Quick test_map_empty_and_singleton;
-          Alcotest.test_case "map re-raises worker failure" `Quick test_map_reraises_failure;
+          Alcotest.test_case "run_shards edge cases" `Quick test_run_shards_edge_cases;
+          Alcotest.test_case "run_shards re-raises after all finish" `Quick
+            test_run_shards_reraises_after_all_finish;
           Alcotest.test_case "run_shards covers all indices" `Quick
             test_run_shards_covers_all_indices;
         ] );
@@ -263,16 +261,10 @@ let () =
           Alcotest.test_case "agrees with sequential engines" `Slow
             test_portfolio_agrees_with_sequential;
         ] );
-      ( "sweep",
-        [
-          Alcotest.test_case "parallel matches sequential classes" `Quick
-            test_parallel_sweep_matches_sequential;
-          Alcotest.test_case "fixed (seed, jobs) deterministic" `Quick
-            test_parallel_sweep_jobs_deterministic;
-        ] );
       ( "fuzz",
         [
           Alcotest.test_case "parallel campaign matches sequential" `Slow
             test_parallel_fuzz_matches_sequential;
+          Alcotest.test_case "jobs clamped to the machine" `Quick test_fuzz_jobs_clamped_to_machine;
         ] );
     ]
