@@ -124,7 +124,7 @@ let run_portfolio o =
         es;
       let r =
         Baselines.Portfolio.run ~config:suite_config ~engines:racing_order ~jobs:o.jobs
-          ~make_limits:(fun () -> Util.Limits.create ~timeout:o.timeout ())
+          ~budget:{ Util.Limits.no_budget with timeout = Some o.timeout }
           m
       in
       let charged = if decided r.Baselines.Portfolio.verdict then r.Baselines.Portfolio.seconds else o.timeout in

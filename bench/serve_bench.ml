@@ -70,8 +70,10 @@ type kind = Falsifiable | Provable | Starved
 
 let kind_of i = if i mod 10 = 3 then Provable else if i mod 10 = 7 then Starved else Falsifiable
 
+(* the scheduler clamps [jobs] to the machine; rows report what it spawned *)
+let workers server = (Serve.Scheduler.stats (Serve.Server.scheduler server)).Serve.Scheduler.workers
+
 let run_throughput ~jobs ~count =
-  line "=== scheduler throughput: %d jobs over one connection (%d workers) ===@." count jobs;
   with_dir @@ fun dir ->
   let store = Obs.Store.open_ dir in
   let falsifiable = frozen "counter" 2 in
@@ -81,6 +83,8 @@ let run_throughput ~jobs ~count =
     Serve.Server.start ~jobs ~store
       (Serve.Protocol.Unix_path (Filename.concat dir "s.sock"))
   in
+  line "=== scheduler throughput: %d jobs over one connection (%d workers) ===@." count
+    (workers server);
   let specs =
     List.init count (fun i ->
         let (model_name, aig), engine, budget =
@@ -146,12 +150,13 @@ let run_throughput ~jobs ~count =
 
 let run_cancel ~quick ~jobs =
   let k = if quick then 8 else 24 in
-  line "@.=== cancellation: %d unfinishable jobs (%d running, rest queued) ===@." k jobs;
   with_dir @@ fun dir ->
   let model_name, aig = frozen "counter" 12 in
   let server =
     Serve.Server.start ~jobs (Serve.Protocol.Unix_path (Filename.concat dir "s.sock"))
   in
+  let workers = workers server in
+  line "@.=== cancellation: %d unfinishable jobs (%d running, rest queued) ===@." k workers;
   let client = Serve.Client.connect (Serve.Server.address server) in
   (* submit via raw sends so cancels can race the runs *)
   for i = 1 to k do
@@ -177,7 +182,7 @@ let run_cancel ~quick ~jobs =
   done;
   (* let the pool actually start chewing before cancelling *)
   let spin = Util.Stopwatch.start () in
-  while !started < min k jobs && Util.Stopwatch.elapsed spin < 10.0 do
+  while !started < min k workers && Util.Stopwatch.elapsed spin < 10.0 do
     match Serve.Client.recv client with
     | Some (Serve.Protocol.Started _) -> incr started
     | Some _ -> ()

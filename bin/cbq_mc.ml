@@ -55,8 +55,8 @@ let load_model cmd circuit param aag =
    iteration lines), then the counterexample under -t, or the checked
    certificate of a proof. [portfolio] races the Suite engines under
    [race_config]; every other name resolves through [Baselines.Suite]. *)
-let verify ~engine ~config ~race_config ?jobs ~make_limits ~limits ~verbose ~trace_wanted
-    ~minimize model =
+let verify ~engine ~config ~race_config ?jobs ~budget ~limits ~verbose ~trace_wanted ~minimize
+    model =
   let verdict, trace, invariant =
     match Baselines.Suite.find ~config engine with
     | Some e ->
@@ -65,10 +65,10 @@ let verify ~engine ~config ~race_config ?jobs ~make_limits ~limits ~verbose ~tra
       (d.Baselines.Suite.verdict, d.Baselines.Suite.trace, d.Baselines.Suite.invariant)
     | None ->
       (* [engine_conv] admits Suite names and [portfolio] only. The
-         shared governor is not handed to the racers: each entrant
-         gets its own cancellable governor from [make_limits] so the
-         winner can stop the losers without poisoning anything shared *)
-      let r = Baselines.Portfolio.run ~config:race_config ?jobs ~make_limits model in
+         run's governor is not handed to the racers: each entrant gets
+         its own cancellable governor from [budget] so the winner can
+         stop the losers without poisoning anything shared *)
+      let r = Baselines.Portfolio.run ~config:race_config ?jobs ~budget model in
       Format.printf "%a@." Baselines.Portfolio.pp_result r;
       (r.Baselines.Portfolio.verdict, r.Baselines.Portfolio.trace, None)
   in
@@ -243,6 +243,13 @@ let max_bdd_nodes_arg =
            only disables further BDD sweeping; the bdd-bwd/bdd-fwd engines treat it as \
            their verdict limit)")
 
+(* the four resource flags, one budget for every command that takes them *)
+let budget_arg =
+  let budget timeout max_conflicts max_aig_nodes max_bdd_nodes =
+    { Util.Limits.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes }
+  in
+  Term.(const budget $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+
 let progress_arg =
   Arg.(
     value & flag
@@ -274,11 +281,7 @@ let emit_stats ~stats ~stats_json ~store ~model ~engine ~quantify_backend ~watch
   Obs.meta "model" (Netlist.Model.name model);
   Obs.meta "engine" engine;
   Obs.meta "quantify_backend" (Cbq.Quantify.backend_name quantify_backend);
-  Obs.meta "verdict"
-    (match verdict with
-    | Baselines.Verdict.Proved -> "proved"
-    | Baselines.Verdict.Falsified d -> Printf.sprintf "falsified:%d" d
-    | Baselines.Verdict.Undecided _ -> "undecided");
+  Obs.meta "verdict" (Baselines.Verdict.to_meta verdict);
   (match Util.Limits.exhausted limits with
   | Some r -> Obs.meta "exhausted" (Util.Limits.resource_name r)
   | None -> ());
@@ -303,8 +306,7 @@ let emit_stats ~stats ~stats_json ~store ~model ~engine ~quantify_backend ~watch
 let run_cmd =
   let doc = "verify a circuit's safety property" in
   let run circuit param aag engine jobs quantify_backend verbose trace seq_sweep coi
-      minimize stats stats_json trace_json progress sample_interval store timeout max_conflicts
-      max_aig_nodes max_bdd_nodes =
+      minimize stats stats_json trace_json progress sample_interval store budget =
     guard "run" @@ fun () ->
     List.iter
       (fun (flag, path) -> if path = Some "" then fail "run" (flag ^ " needs a file name"))
@@ -329,11 +331,7 @@ let run_cmd =
     let watch = Util.Stopwatch.start () in
     (* the governor's deadline clock starts here, before model build, so
        --timeout bounds the whole invocation *)
-    let limits =
-      if timeout = None && max_conflicts = None && max_aig_nodes = None && max_bdd_nodes = None
-      then Util.Limits.unlimited
-      else Util.Limits.create ?timeout ?max_conflicts ?max_aig_nodes ?max_bdd_nodes ()
-    in
+    let limits = Util.Limits.of_budget budget in
     (* the sampler covers model build and reductions, not just the
        engine: a run that dies loading a huge AIG should still leave a
        heap curve *)
@@ -368,16 +366,13 @@ let run_cmd =
             end
             else model
           in
-          let make_limits () =
-            Util.Limits.create ?timeout ?max_conflicts ?max_aig_nodes ?max_bdd_nodes ()
-          in
           (* a lone engine runs under the standalone BMC/induction bounds;
              the race keeps the Suite defaults *)
           let quant = { Cbq.Quantify.default with backend = quantify_backend } in
           let race_config = { Baselines.Suite.default_config with make_trace = trace; quant } in
           let config = { Baselines.Suite.standalone_config with make_trace = trace; quant } in
           let verdict =
-            verify ~engine ~config ~race_config ?jobs ~make_limits ~limits ~verbose
+            verify ~engine ~config ~race_config ?jobs ~budget ~limits ~verbose
               ~trace_wanted:trace ~minimize model
           in
           (model, status, verdict))
@@ -405,16 +400,12 @@ let run_cmd =
       | Baselines.Verdict.Undecided _ when not (Util.Limits.is_limited limits) -> exit 2
       | _ -> exit 0)
     | Some expected ->
-      let agrees =
-        match (verdict, expected) with
-        | Baselines.Verdict.Proved, Circuits.Registry.Safe -> true
-        | Baselines.Verdict.Falsified d, Circuits.Registry.Unsafe e -> d = e
-        | Baselines.Verdict.Undecided _, _ -> true
-        | Baselines.Verdict.Proved, Circuits.Registry.Unsafe _
-        | Baselines.Verdict.Falsified _, Circuits.Registry.Safe ->
-          false
+      let safe, depth =
+        match expected with
+        | Circuits.Registry.Safe -> (true, None)
+        | Circuits.Registry.Unsafe d -> (false, Some d)
       in
-      if not agrees then begin
+      if not (Baselines.Verdict.agrees_with_oracle verdict ~safe ~depth) then begin
         Format.printf "WARNING: verdict disagrees with the family oracle@.";
         exit 1
       end
@@ -424,8 +415,7 @@ let run_cmd =
       const run $ circuit_arg $ param_arg $ aag_arg $ engine_arg $ jobs_arg
       $ quantify_backend_arg $ verbose_arg $ trace_arg $ seq_sweep_arg $ coi_arg $ minimize_arg
       $ stats_arg $ stats_json_arg $ trace_json_arg $ progress_arg $ sample_interval_arg
-      $ store_opt_arg $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg
-      $ max_bdd_nodes_arg) )
+      $ store_opt_arg $ budget_arg) )
 
 let run_term = snd run_cmd
 let run_cmd = Cmd.v (fst run_cmd) run_term
@@ -619,8 +609,7 @@ let fuzz_cmd =
                 bug) and confirm the oracles catch it")
   in
   let run seed count max_latches max_inputs cone_depth shared_subcones wide_support corpus
-      no_shrink jobs inject_fault quantify_backend stats stats_json progress timeout
-      max_conflicts max_aig_nodes max_bdd_nodes =
+      no_shrink jobs inject_fault quantify_backend stats stats_json progress budget =
     if stats || stats_json <> None || progress then begin
       Obs.reset ();
       Obs.set_enabled true
@@ -639,17 +628,8 @@ let fuzz_cmd =
     in
     (match Fuzz.Gen.validate_knobs knobs with
     | Ok () -> ()
-    | Error msg ->
-      Format.eprintf "fuzz: invalid knobs: %s@." msg;
-      exit 2);
-    let config =
-      {
-        Fuzz.Oracle.default_config with
-        Fuzz.Oracle.budget =
-          { Fuzz.Oracle.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes };
-        quantify_backend;
-      }
-    in
+    | Error msg -> fail "fuzz" ("invalid knobs: " ^ msg));
+    let config = { Fuzz.Oracle.default_config with Fuzz.Oracle.budget; quantify_backend } in
     let watch = Util.Stopwatch.start () in
     let on_model i model_seed =
       if progress && i mod 10 = 0 then
@@ -702,7 +682,7 @@ let fuzz_cmd =
       const run $ seed_arg $ count_arg $ max_latches_arg $ max_inputs_arg $ cone_depth_arg
       $ shared_subcones_arg $ wide_support_arg $ corpus_arg $ no_shrink_arg $ fuzz_jobs_arg
       $ inject_fault_arg $ quantify_backend_arg $ stats_arg $ stats_json_arg $ progress_arg
-      $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+      $ budget_arg)
 
 (* ---------- sat ---------- *)
 
@@ -713,9 +693,7 @@ let sat_cmd =
   in
   let run path =
     match Sat.Dimacs.solve_file path with
-    | Error msg ->
-      Format.printf "error: %s@." msg;
-      exit 2
+    | Error msg -> fail "sat" msg
     | Ok (result, solver) -> (
       Format.printf "%a@." Sat.Solver.pp_stats (Sat.Solver.stats solver);
       match result with
@@ -968,9 +946,6 @@ let connect_arg =
     & info [ "connect" ] ~docv:"ADDR"
         ~doc:"daemon address: $(b,unix:)PATH (default $(b,unix:cbq-mc.sock)) or $(b,tcp:)HOST:PORT")
 
-let budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes =
-  { Serve.Protocol.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes }
-
 let serve_cmd =
   let doc = "run the persistent model-checking job daemon" in
   let man =
@@ -990,14 +965,15 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"worker domains (default: the machine's recommended domain count)")
+          ~doc:
+            "worker domains, at most the machine's recommended domain count (the default): \
+             more workers than cores only contend for them")
   in
-  let run listen jobs store stats timeout max_conflicts max_aig_nodes max_bdd_nodes =
+  let run listen jobs store stats ceiling =
     if stats then begin
       Obs.reset ();
       Obs.set_enabled true
     end;
-    let ceiling = budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes in
     let store = guard "serve" @@ fun () -> Option.map Obs.Store.open_ store in
     let server =
       try Serve.Server.start ?jobs ~ceiling ?store listen
@@ -1018,8 +994,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ serve_listen_arg $ jobs_arg $ store_opt_arg $ stats_arg $ timeout_arg
-      $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+      const run $ serve_listen_arg $ jobs_arg $ store_opt_arg $ stats_arg $ budget_arg)
 
 let connect_client address =
   try Serve.Client.connect address
@@ -1047,8 +1022,7 @@ let print_outcome name = function
 
 let submit_cmd =
   let doc = "submit one job to a running daemon and wait for the verdict" in
-  let run connect circuit param aag engine quantify_backend progress timeout max_conflicts
-      max_aig_nodes max_bdd_nodes =
+  let run connect circuit param aag engine quantify_backend progress budget =
     guard "submit" @@ fun () ->
     let model, _status = load_model "submit" circuit param aag in
     let spec =
@@ -1057,7 +1031,7 @@ let submit_cmd =
         model_name = Netlist.Model.name model;
         aig = Netlist.Aiger.write model;
         engine;
-        budget = budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes;
+        budget;
         quantify_backend = Option.map Cbq.Quantify.backend_name quantify_backend;
       }
     in
@@ -1081,8 +1055,7 @@ let submit_cmd =
   Cmd.v (Cmd.info "submit" ~doc)
     Term.(
       const run $ connect_arg $ circuit_arg $ param_arg $ aag_arg $ engine_arg
-      $ quantify_backend_opt_arg $ progress_arg $ timeout_arg $ max_conflicts_arg
-      $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+      $ quantify_backend_opt_arg $ progress_arg $ budget_arg)
 
 let batch_cmd =
   let doc = "submit every AIGER file in a directory to a running daemon" in
@@ -1092,8 +1065,7 @@ let batch_cmd =
       & pos 0 (some dir) None
       & info [] ~docv:"DIR" ~doc:"directory of .aag/.aig model files")
   in
-  let run connect dir engine quantify_backend timeout max_conflicts max_aig_nodes
-      max_bdd_nodes =
+  let run connect dir engine quantify_backend budget =
     guard "batch" @@ fun () ->
     let files =
       Sys.readdir dir |> Array.to_list
@@ -1104,7 +1076,6 @@ let batch_cmd =
       Format.eprintf "cbq-mc batch: no .aag/.aig files in %s@." dir;
       exit 2
     end;
-    let budget = budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes in
     let specs =
       List.map
         (fun f ->
@@ -1134,8 +1105,7 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const run $ connect_arg $ dir_arg $ engine_arg $ quantify_backend_opt_arg
-      $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+      const run $ connect_arg $ dir_arg $ engine_arg $ quantify_backend_opt_arg $ budget_arg)
 
 let ctl_cmd =
   let doc = "control a running daemon: ping, stats or shutdown" in

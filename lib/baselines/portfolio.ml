@@ -28,7 +28,7 @@ let pp_result ppf r =
 
 let decided = function Verdict.Proved | Verdict.Falsified _ -> true | Verdict.Undecided _ -> false
 
-let run ?config ?engines ?jobs ?(make_limits = fun () -> Util.Limits.create ()) m =
+let run ?config ?engines ?jobs ?(budget = Util.Limits.no_budget) m =
   let table = Suite.engines ?config () in
   let selected =
     match engines with
@@ -54,9 +54,7 @@ let run ?config ?engines ?jobs ?(make_limits = fun () -> Util.Limits.create ()) 
   let entrants =
     List.map
       (fun (e : Suite.engine) ->
-        let limits = make_limits () in
-        if limits == Util.Limits.unlimited then
-          invalid_arg "Portfolio.run: make_limits must return a fresh governor";
+        let limits = Util.Limits.of_budget budget in
         {
           Par.Race.name = e.name;
           limits;

@@ -27,14 +27,13 @@ type result = {
 
 val pp_result : Format.formatter -> result -> unit
 
-(** [run ?config ?engines ?jobs ?make_limits m] races the named engines
+(** [run ?config ?engines ?jobs ?budget m] races the named engines
     (default: the whole suite) over up to [jobs] domains (default: one
     per engine, capped by [Par.Pool.default_jobs]).
 
-    [make_limits] builds one governor per entrant — use it to give every
-    engine the same budget caps. It must return a {e fresh} governor on
-    each call (never [Util.Limits.unlimited]): the racer cancels losers
-    through it.
+    Every entrant runs under its own {!Util.Limits.of_budget}[ budget]
+    governor (default: {!Util.Limits.no_budget}), so each engine gets
+    the same caps and the racer can cancel the losers.
 
     @raise Invalid_argument on an unknown engine name or an empty
     engine list. *)
@@ -42,6 +41,6 @@ val run :
   ?config:Suite.config ->
   ?engines:string list ->
   ?jobs:int ->
-  ?make_limits:(unit -> Util.Limits.t) ->
+  ?budget:Util.Limits.budget ->
   Netlist.Model.t ->
   result

@@ -7,4 +7,10 @@ type t =
   | Undecided of string (* resource or method limit, with the reason *)
 
 val agrees_with_oracle : t -> safe:bool -> depth:int option -> bool
+
+(** The run-report [verdict] meta value: ["proved"], ["falsified:<depth>"]
+    or ["undecided"]. [run] reports and stored serve jobs both carry it,
+    and the run-report store lists it as each run's verdict. *)
+val to_meta : t -> string
+
 val pp : Format.formatter -> t -> unit

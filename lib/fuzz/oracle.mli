@@ -44,26 +44,12 @@ val failure_label : failure -> string
 
 val pp_failure : Format.formatter -> failure -> unit
 
-(** {2 Resource budgets}
-
-    {!Util.Limits.t} governors are sticky one-shot objects, so the oracle
-    carries a budget {e specification} and mints a fresh governor per
-    engine run — each engine degrades (or not) on its own. *)
-
-type budget = {
-  timeout : float option;
-  max_conflicts : int option;
-  max_aig_nodes : int option;
-  max_bdd_nodes : int option;
-}
-
-(** All resources unlimited. *)
-val no_budget : budget
-
-val limits_of_budget : budget -> Util.Limits.t
-
 type config = {
-  budget : budget;
+  budget : Util.Limits.budget;
+      (** {!Util.Limits} governors are sticky one-shot objects, so the
+          oracle carries a budget and mints a fresh governor per engine
+          run with {!Util.Limits.of_budget}: each engine degrades (or
+          not) on its own *)
   bmc_depth : int;  (** BMC search bound; exhaustion is [Undecided] *)
   induction_k : int;
   check_traces : bool;

@@ -274,17 +274,19 @@ module Progress : sig
   val begin_run : unit -> unit
 
   (** Notification from the traversal engines; a no-op unless armed.
-      Independently of the stderr reporter, an installed {!set_listener}
-      hook receives every notification. *)
+      Independently of the stderr reporter, the calling domain's
+      {!with_listener} hook, if any, receives every notification. *)
   val frame : index:int -> nodes:int -> unit
 
-  (** Install (or clear) a cross-domain frame listener: called on every
-      {!frame} notification with the emitting domain's id, whether or
-      not the stderr reporter is armed. The serve scheduler uses this to
-      stream per-frame progress events to the client that owns the job
-      running on that domain. The hook itself must be domain-safe — it
-      is invoked from whichever domain runs the traversal. *)
-  val set_listener : (domain:int -> index:int -> nodes:int -> unit) option -> unit
+  (** [with_listener f thunk] runs [thunk] with [f] receiving every
+      {!frame} notification made {e on the calling domain}, whether or
+      not the stderr reporter is armed. The hook lives in domain-local
+      storage: frames from other domains never reach it, domains
+      spawned inside [thunk] do not inherit it, and the previous hook is
+      restored when [thunk] returns or raises. The serve scheduler wraps
+      each job's engine call in it to stream per-frame progress to the
+      client that owns the job. *)
+  val with_listener : (index:int -> nodes:int -> unit) -> (unit -> 'a) -> 'a
 
   (** Terminate the in-place line and disarm. *)
   val finish : unit -> unit

@@ -45,18 +45,20 @@ let emit line =
   end
   else Printf.fprintf !out "%s\n%!" line
 
-(* Cross-domain frame listener: the serve scheduler routes frame
-   notifications to the client whose job runs on the emitting domain.
-   An atomic so installation from the scheduler races benignly with
-   notifications from worker domains. *)
-let listener : (domain:int -> index:int -> nodes:int -> unit) option Atomic.t = Atomic.make None
+(* Per-domain frame listener: the serve scheduler wraps each job's
+   engine call in [with_listener], so the frames a traversal emits on a
+   worker domain reach the client whose job runs there. Domain-local,
+   so concurrent jobs on other domains never see each other's hook. *)
+let listener : (index:int -> nodes:int -> unit) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-let set_listener f = Atomic.set listener f
+let with_listener f thunk =
+  let saved = Domain.DLS.get listener in
+  Domain.DLS.set listener (Some f);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set listener saved) thunk
 
 let frame ~index ~nodes =
-  (match Atomic.get listener with
-  | Some f -> f ~domain:(Domain.self () :> int) ~index ~nodes
-  | None -> ());
+  (match Domain.DLS.get listener with Some f -> f ~index ~nodes | None -> ());
   if !active then emit (render ~index ~nodes)
 
 (* Traversal engines notify here at run entry: without it, back-to-back

@@ -99,50 +99,31 @@ type outcome =
   | Crashed of { id : int; message : string }
   | Refused of { reason : string }
 
-(* ---------- submit one job, waiting inline ---------- *)
+let submit_request spec =
+  Protocol.Submit
+    {
+      tag = spec.tag;
+      model_name = spec.model_name;
+      aig = spec.aig;
+      engine = spec.engine;
+      budget = spec.budget;
+      quantify_backend = spec.quantify_backend;
+    }
 
-let submit_wait ?(on_event = fun (_ : Protocol.event) -> ()) t spec =
-  send t
-    (Protocol.Submit
-       {
-         tag = spec.tag;
-         model_name = spec.model_name;
-         aig = spec.aig;
-         engine = spec.engine;
-         budget = spec.budget;
-         quantify_backend = spec.quantify_backend;
-       });
-  let progress = ref 0 in
-  let rec await_accept () =
-    match recv_exn t "accept" with
-    | Protocol.Accepted { tag; id } when tag = spec.tag -> Ok id
-    | Protocol.Rejected { tag; reason } when tag = spec.tag -> Error reason
-    | e ->
-      on_event e;
-      await_accept ()
-  in
-  match await_accept () with
-  | Error reason -> Refused { reason }
-  | Ok id ->
-    let rec await_done () =
-      match recv_exn t "verdict" with
-      | Protocol.Progress { id = i; _ } as e when i = id ->
-        incr progress;
-        on_event e;
-        await_done ()
-      | Protocol.Done { id = i; verdict; seconds; report } when i = id ->
-        Finished { id; verdict; seconds; report; progress = !progress }
-      | Protocol.Failed { id = i; message } when i = id -> Crashed { id; message }
-      | e ->
-        on_event e;
-        await_done ()
-    in
-    await_done ()
+(* The event-to-outcome state machine both entry points share: an
+   [Accepted] binds a spec's tag to its server id, progress frames are
+   counted per id, and each spec's outcome is set once, by its first
+   terminal event. Events for ids this tracker never submitted are
+   ignored. *)
+type tracker = {
+  index_of_tag : (string, int) Hashtbl.t;
+  index_of_id : (int, int) Hashtbl.t;
+  progress : int array;
+  outcomes : outcome option array;
+  mutable remaining : int;
+}
 
-(* ---------- batch: pipelined submits, interleaved events ---------- *)
-
-let run_batch ?(on_event = fun (_ : Protocol.event) -> ()) t specs =
-  let specs = Array.of_list specs in
+let tracker specs =
   let n = Array.length specs in
   let index_of_tag = Hashtbl.create (2 * n) in
   Array.iteri
@@ -151,68 +132,62 @@ let run_batch ?(on_event = fun (_ : Protocol.event) -> ()) t specs =
         invalid_arg (Printf.sprintf "Client.run_batch: duplicate tag %S" spec.tag);
       Hashtbl.replace index_of_tag spec.tag i)
     specs;
-  let outcomes : outcome option array = Array.make n None in
-  let progress = Array.make n 0 in
-  let index_of_id = Hashtbl.create (2 * n) in
+  {
+    index_of_tag;
+    index_of_id = Hashtbl.create (2 * n);
+    progress = Array.make n 0;
+    outcomes = Array.make n None;
+    remaining = n;
+  }
+
+let settle tr i outcome =
+  if tr.outcomes.(i) = None then begin
+    tr.outcomes.(i) <- Some outcome;
+    tr.remaining <- tr.remaining - 1
+  end
+
+let observe tr event =
+  let by_tag tag f = Option.iter f (Hashtbl.find_opt tr.index_of_tag tag) in
+  let by_id id f = Option.iter f (Hashtbl.find_opt tr.index_of_id id) in
+  match event with
+  | Protocol.Accepted { tag; id } -> by_tag tag (Hashtbl.replace tr.index_of_id id)
+  | Protocol.Rejected { tag; reason } -> by_tag tag (fun i -> settle tr i (Refused { reason }))
+  | Protocol.Progress { id; _ } -> by_id id (fun i -> tr.progress.(i) <- tr.progress.(i) + 1)
+  | Protocol.Done { id; verdict; seconds; report } ->
+    by_id id (fun i ->
+        settle tr i (Finished { id; verdict; seconds; report; progress = tr.progress.(i) }))
+  | Protocol.Failed { id; message } -> by_id id (fun i -> settle tr i (Crashed { id; message }))
+  | _ -> ()
+
+(* ---------- submit one job, waiting inline ---------- *)
+
+let submit_wait ?(on_event = fun (_ : Protocol.event) -> ()) t spec =
+  let tr = tracker [| spec |] in
+  send t (submit_request spec);
+  while tr.remaining > 0 do
+    let waiting = if Hashtbl.length tr.index_of_id = 0 then "accept" else "verdict" in
+    let e = recv_exn t waiting in
+    observe tr e;
+    on_event e
+  done;
+  Option.get tr.outcomes.(0)
+
+(* ---------- batch: pipelined submits, interleaved events ---------- *)
+
+let run_batch ?(on_event = fun (_ : Protocol.event) -> ()) t specs =
+  let specs = Array.of_list specs in
+  let tr = tracker specs in
   let writer =
     Domain.spawn (fun () ->
-        try
-          Array.iter
-            (fun spec ->
-              send t
-                (Protocol.Submit
-                   {
-                     tag = spec.tag;
-                     model_name = spec.model_name;
-                     aig = spec.aig;
-                     engine = spec.engine;
-                     budget = spec.budget;
-                     quantify_backend = spec.quantify_backend;
-                   }))
-            specs
+        try Array.iter (fun spec -> send t (submit_request spec)) specs
         with Sys_error _ | Unix.Unix_error _ -> () (* reader will see the close *))
   in
-  let remaining = ref n in
   let rec loop () =
-    if !remaining > 0 then
+    if tr.remaining > 0 then
       match recv t with
       | None -> () (* connection closed: remaining outcomes stay None *)
       | Some e ->
-        (match e with
-        | Protocol.Accepted { tag; id } -> (
-          match Hashtbl.find_opt index_of_tag tag with
-          | Some i -> Hashtbl.replace index_of_id id i
-          | None -> ())
-        | Protocol.Rejected { tag; reason } -> (
-          match Hashtbl.find_opt index_of_tag tag with
-          | Some i ->
-            if outcomes.(i) = None then begin
-              outcomes.(i) <- Some (Refused { reason });
-              decr remaining
-            end
-          | None -> ())
-        | Protocol.Progress { id; _ } -> (
-          match Hashtbl.find_opt index_of_id id with
-          | Some i -> progress.(i) <- progress.(i) + 1
-          | None -> ())
-        | Protocol.Done { id; verdict; seconds; report } -> (
-          match Hashtbl.find_opt index_of_id id with
-          | Some i ->
-            if outcomes.(i) = None then begin
-              outcomes.(i) <-
-                Some (Finished { id; verdict; seconds; report; progress = progress.(i) });
-              decr remaining
-            end
-          | None -> ())
-        | Protocol.Failed { id; message } -> (
-          match Hashtbl.find_opt index_of_id id with
-          | Some i ->
-            if outcomes.(i) = None then begin
-              outcomes.(i) <- Some (Crashed { id; message });
-              decr remaining
-            end
-          | None -> ())
-        | _ -> ());
+        observe tr e;
         on_event e;
         loop ()
   in
@@ -223,4 +198,4 @@ let run_batch ?(on_event = fun (_ : Protocol.event) -> ()) t specs =
        (function
          | Some o -> o
          | None -> Refused { reason = "connection closed before a verdict arrived" })
-       outcomes)
+       tr.outcomes)

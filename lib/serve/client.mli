@@ -46,13 +46,13 @@ type outcome =
   | Crashed of { id : int; message : string }
   | Refused of { reason : string }
 
-(** Submit one job and block until its terminal event; other events
-    arriving meanwhile go to [on_event]. *)
+(** Submit one job and block until its terminal event. Every event read
+    meanwhile, the job's own included, also goes to [on_event]. *)
 val submit_wait : ?on_event:(Protocol.event -> unit) -> t -> job_spec -> outcome
 
 (** Submit every spec and collect every outcome, in spec order. The
     submits are written from a separate domain while the calling domain
     reads events, so arbitrarily large batches cannot deadlock on full
-    socket buffers. *)
+    socket buffers. Every event read also goes to [on_event]. *)
 val run_batch :
   ?on_event:(Protocol.event -> unit) -> t -> job_spec list -> outcome list

@@ -9,9 +9,11 @@
     terminal [Done] or [Failed] per accepted job. The full frame
     schema is documented in [docs/SERVE.md]. *)
 
-(** Per-job resource bounds, each [None] = unlimited. The server caps
-    every submitted budget against its own ceiling with {!cap}. *)
-type budget = {
+(** Per-job resource bounds, each [None] = unlimited: the run-wide
+    {!Util.Limits.budget}, re-exported so wire code can build it. The
+    server caps every submitted budget against its own ceiling with
+    {!cap}. *)
+type budget = Util.Limits.budget = {
   timeout : float option;
   max_conflicts : int option;
   max_aig_nodes : int option;

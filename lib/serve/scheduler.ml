@@ -21,9 +21,9 @@
    domains of THIS process are funnelled through [store_mutex], since
    fcntl locks do not exclude threads of one process.
 
-   Per-frame progress rides on [Obs.Progress.set_listener]: each worker
-   domain runs at most one job at a time, so the emitting domain's id
-   keys the running-job table. *)
+   Per-frame progress rides on [Obs.Progress.with_listener]: the hook
+   is domain-local and each worker domain runs one job at a time, so
+   wrapping the engine call routes its frames to that job's client. *)
 
 let obs_submitted = Obs.counter "serve.jobs.submitted"
 let obs_rejected = Obs.counter "serve.jobs.rejected"
@@ -50,7 +50,6 @@ type t = {
   nonempty : Condition.t;
   queue : job Queue.t;
   jobs : (int, job) Hashtbl.t; (* id -> job, until its terminal event *)
-  by_domain : (int, job) Hashtbl.t; (* worker domain id -> running job *)
   mutable next_id : int;
   mutable running : int;
   mutable completed : int;
@@ -64,49 +63,7 @@ type t = {
 
 let workers t = List.length t.workers
 
-(* ---------- the progress listener ---------- *)
-
-(* One process-global dispatch table: scheduler creation registers
-   itself, shutdown unregisters. Kept as a list so tests can run a
-   scheduler while an unrelated traversal executes on the main domain
-   (its domain id simply misses every table). *)
-let schedulers : t list Atomic.t = Atomic.make []
-
-let rec add_scheduler t =
-  let old = Atomic.get schedulers in
-  if not (Atomic.compare_and_set schedulers old (t :: old)) then add_scheduler t
-
-let rec remove_scheduler t =
-  let old = Atomic.get schedulers in
-  if not (Atomic.compare_and_set schedulers old (List.filter (fun s -> s != t) old)) then
-    remove_scheduler t
-
-let dispatch_frame ~domain ~index ~nodes =
-  List.iter
-    (fun t ->
-      let job =
-        Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.by_domain domain)
-      in
-      match job with
-      | None -> ()
-      | Some job ->
-        job.frames <- job.frames + 1;
-        Obs.incr obs_frames;
-        job.emit (Protocol.Progress { id = job.id; frame = index; nodes }))
-    (Atomic.get schedulers)
-
-let install_listener () =
-  Obs.Progress.set_listener
-    (match Atomic.get schedulers with
-    | [] -> None
-    | _ -> Some (fun ~domain ~index ~nodes -> dispatch_frame ~domain ~index ~nodes))
-
 (* ---------- per-job reports ---------- *)
-
-let verdict_string = function
-  | Baselines.Verdict.Proved -> "proved"
-  | Baselines.Verdict.Falsified d -> Printf.sprintf "falsified:%d" d
-  | Baselines.Verdict.Undecided _ -> "undecided"
 
 (* A self-contained schema-v2 report (the daemon cannot use the global
    registry snapshot: concurrent jobs would bleed into each other's
@@ -118,7 +75,7 @@ let job_report job ~verdict ~seconds ~exhausted =
       ("tool", Obs.Json.String "cbq-mc-serve");
       ("model", Obs.Json.String job.model_name);
       ("engine", Obs.Json.String job.engine.Baselines.Suite.name);
-      ("verdict", Obs.Json.String (verdict_string verdict));
+      ("verdict", Obs.Json.String (Baselines.Verdict.to_meta verdict));
       ("seconds", Obs.Json.String (Printf.sprintf "%.6f" seconds));
       ("job", Obs.Json.String (string_of_int job.id));
     ]
@@ -159,35 +116,32 @@ let finish t job =
       t.completed <- t.completed + 1)
 
 let run_job t job =
-  let limits =
-    Obs.Limits.arm
-      (Util.Limits.create ?timeout:job.budget.Protocol.timeout
-         ?max_conflicts:job.budget.Protocol.max_conflicts
-         ?max_aig_nodes:job.budget.Protocol.max_aig_nodes
-         ?max_bdd_nodes:job.budget.Protocol.max_bdd_nodes ())
-  in
-  let dom = (Domain.self () :> int) in
+  let limits = Obs.Limits.arm (Util.Limits.of_budget job.budget) in
   Mutex.protect t.mutex (fun () ->
       job.limits <- Some limits;
       (* a cancel that arrived while the job sat in the queue already
          set the flag; trip the fresh governor so the engine returns
          immediately at its first checkpoint *)
       if job.cancel_requested then Util.Limits.cancel limits;
-      Hashtbl.replace t.by_domain dom job;
       t.running <- t.running + 1);
   job.emit (Protocol.Started { id = job.id });
   let watch = Util.Stopwatch.start () in
+  let on_frame ~index ~nodes =
+    job.frames <- job.frames + 1;
+    Obs.incr obs_frames;
+    job.emit (Protocol.Progress { id = job.id; frame = index; nodes })
+  in
   let outcome =
     try
       let model = Netlist.Aiger.read ~name:job.model_name job.aig in
-      Ok (job.engine.Baselines.Suite.run ~limits model)
+      Ok
+        (Obs.Progress.with_listener on_frame (fun () ->
+             job.engine.Baselines.Suite.run ~limits model))
     with exn -> Error (Printexc.to_string exn)
   in
   let seconds = Util.Stopwatch.elapsed watch in
   Obs.add_seconds obs_span seconds;
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.remove t.by_domain dom;
-      t.running <- t.running - 1);
+  Mutex.protect t.mutex (fun () -> t.running <- t.running - 1);
   (match outcome with
   | Ok (verdict, _trace) ->
     let report =
@@ -233,14 +187,14 @@ let rec worker_loop t =
 (* ---------- the public surface ---------- *)
 
 let create ?(jobs = Par.Pool.default_jobs ()) ?(ceiling = Protocol.no_budget) ?store () =
-  let jobs = max 1 jobs in
+  (* more workers than cores only adds domains that contend for them *)
+  let jobs = max 1 (min jobs (Par.Pool.default_jobs ())) in
   let t =
     {
       mutex = Mutex.create ();
       nonempty = Condition.create ();
       queue = Queue.create ();
       jobs = Hashtbl.create 64;
-      by_domain = Hashtbl.create 16;
       next_id = 0;
       running = 0;
       completed = 0;
@@ -252,12 +206,10 @@ let create ?(jobs = Par.Pool.default_jobs ()) ?(ceiling = Protocol.no_budget) ?s
       workers = [];
     }
   in
-  add_scheduler t;
-  install_listener ();
   t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let submit t ~tag:_ ~model_name ~aig ~engine ~quantify_backend ~budget ~emit =
+let submit t ~model_name ~aig ~engine ~quantify_backend ~budget ~emit =
   (* a per-job backend override specializes the engine table for this
      job only; an unknown name is the submitter's fault, rejected now *)
   let backend =
@@ -360,8 +312,6 @@ let shutdown t =
   in
   if not already then begin
     List.iter Domain.join t.workers;
-    remove_scheduler t;
-    install_listener ();
     match t.store with
     | Some store -> ( try Mutex.protect t.store_mutex (fun () -> Obs.Store.flush store) with _ -> ())
     | None -> ()

@@ -16,10 +16,12 @@
 
 type t
 
-(** [create ()] spawns the worker domains immediately.
-    [jobs] defaults to {!Par.Pool.default_jobs}; [ceiling] caps every
+(** [create ()] spawns the worker domains immediately: [jobs] of them,
+    clamped to [1 .. Par.Pool.default_jobs ()] (default: the upper
+    bound, the machine's recommended domain count). [ceiling] caps every
     submitted budget ({!Protocol.cap}); [store] receives one report per
-    completed job. *)
+    completed job. Each job's [Progress] frames are routed through
+    {!Obs.Progress.with_listener} on the worker domain that runs it. *)
 val create :
   ?jobs:int -> ?ceiling:Protocol.budget -> ?store:Obs.Store.t -> unit -> t
 
@@ -31,7 +33,6 @@ val create :
     reason. *)
 val submit :
   t ->
-  tag:string ->
   model_name:string ->
   aig:string ->
   engine:string ->

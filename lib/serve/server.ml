@@ -95,8 +95,7 @@ let handle_request t conn line =
        its own domain). *)
     Mutex.protect conn.wmutex (fun () ->
         let result =
-          Scheduler.submit t.scheduler ~tag ~model_name ~aig ~engine ~quantify_backend
-            ~budget
+          Scheduler.submit t.scheduler ~model_name ~aig ~engine ~quantify_backend ~budget
             ~emit:(fun event ->
               (match event with
               | Protocol.Done { id; _ } | Protocol.Failed { id; _ } -> forget_job conn id
@@ -254,7 +253,3 @@ let wait t =
   match t.unix_path with
   | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | None -> ()
-
-let run ?jobs ?ceiling ?store address =
-  let t = start ?jobs ?ceiling ?store address in
-  wait t

@@ -41,10 +41,3 @@ val stop : t -> unit
     remove the Unix socket file. *)
 val wait : t -> unit
 
-(** [start] + [wait]. *)
-val run :
-  ?jobs:int ->
-  ?ceiling:Protocol.budget ->
-  ?store:Obs.Store.t ->
-  Protocol.address ->
-  unit

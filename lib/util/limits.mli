@@ -52,6 +52,26 @@ val create :
   unit ->
   t
 
+(** A budget {e specification}: the four resources, each [None] =
+    unlimited. Governors are sticky one-shot objects, so callers that
+    run several engines (the portfolio, the fuzz oracle, the serve
+    daemon) carry a budget and mint one governor per run with
+    {!of_budget}. *)
+type budget = {
+  timeout : float option;  (** seconds from {!of_budget} *)
+  max_conflicts : int option;
+  max_aig_nodes : int option;
+  max_bdd_nodes : int option;
+}
+
+(** All four resources unlimited. *)
+val no_budget : budget
+
+(** [of_budget b] is [create] with [b]'s bounds. It always returns a
+    fresh governor (never {!unlimited}), so the result can be
+    cancelled. *)
+val of_budget : budget -> t
+
 (** [true] when at least one resource has a bound. *)
 val is_limited : t -> bool
 

@@ -87,6 +87,12 @@ let test_report_under_fire () =
           Obs.incr (Obs.counter "test.domains.report_counter")
         done)
   in
+  (* the writers may not be scheduled before 50 reports finish: wait
+     (bounded) until one has recorded, so the reports race real writes *)
+  let started = Util.Stopwatch.start () in
+  while Obs.span_count s = 0 && Util.Stopwatch.elapsed started < 10.0 do
+    Unix.sleepf 0.001
+  done;
   for _ = 1 to 50 do
     let json = Obs.report () in
     match Obs.Json.of_string (Obs.Json.to_string json) with

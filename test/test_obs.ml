@@ -379,6 +379,25 @@ let test_progress_tty_teardown () =
   Obs.Progress.frame ~index:2 ~nodes:1;
   Obs.Progress.finish ()
 
+(* the frame listener is scoped to the calling domain and the thunk:
+   nested hooks restore the outer one, an exception restores too, and a
+   frame notified on another domain meanwhile reaches no hook *)
+let test_progress_listener_scoping () =
+  let seen = ref [] in
+  let hook tag ~index ~nodes:_ = seen := (tag, index) :: !seen in
+  Obs.Progress.with_listener (hook "outer") (fun () ->
+      Obs.Progress.frame ~index:0 ~nodes:1;
+      (try
+         Obs.Progress.with_listener (hook "inner") (fun () ->
+             Obs.Progress.frame ~index:1 ~nodes:1;
+             Domain.join (Domain.spawn (fun () -> Obs.Progress.frame ~index:99 ~nodes:1));
+             failwith "engine blew up")
+       with Failure _ -> ());
+      Obs.Progress.frame ~index:2 ~nodes:1);
+  Obs.Progress.frame ~index:3 ~nodes:1;
+  check bool "frames reach the innermost hook of their domain only" true
+    (List.rev !seen = [ ("outer", 0); ("inner", 1); ("outer", 2) ])
+
 let test_disabled_traversal_is_silent () =
   with_obs false @@ fun () ->
   let model = Circuits.Families.counter ~bits:3 in
@@ -433,5 +452,7 @@ let () =
             test_progress_begin_run_resets_watch;
           Alcotest.test_case "tty teardown survives exceptions" `Quick
             test_progress_tty_teardown;
+          Alcotest.test_case "frame listener is domain- and thunk-scoped" `Quick
+            test_progress_listener_scoping;
         ] );
     ]

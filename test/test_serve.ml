@@ -208,6 +208,71 @@ let batch_matches_sequential () =
       | Serve.Client.Refused { reason } -> Alcotest.fail reason)
     (List.combine expected outcomes)
 
+(* ---------- per-job progress routing ---------- *)
+
+(* Two clients run cbq-bwd batches at the same time on a two-worker
+   daemon, so frames from both clients' jobs are emitted concurrently.
+   Each client must see Progress frames for its own job ids only, and
+   each job's frame count must equal the iteration count of a local run
+   of the same model. *)
+let progress_routed_per_job () =
+  let batches =
+    [|
+      [ ("counter", 3); ("gray", 3); ("counter", 4) ];
+      [ ("counter", 2); ("twin-shift", 4); ("counter-even", 4) ];
+    |]
+  in
+  let local_frames (name, param) =
+    let model, _ = Circuits.Registry.build name (Some param) in
+    List.length (Cbq.Reachability.run model).Cbq.Reachability.iterations
+  in
+  with_server ~jobs:2 @@ fun _server address ->
+  let run_client cases =
+    let c = connect address in
+    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+    let own = Hashtbl.create 8 and progress_ids = ref [] in
+    let on_event = function
+      | Serve.Protocol.Accepted { id; _ } -> Hashtbl.replace own id ()
+      | Serve.Protocol.Progress { id; _ } -> progress_ids := id :: !progress_ids
+      | _ -> ()
+    in
+    let specs =
+      List.mapi (fun i (name, param) -> spec ~tag:(Printf.sprintf "p%d" i) name param) cases
+    in
+    let outcomes = Serve.Client.run_batch ~on_event c specs in
+    (outcomes, List.for_all (Hashtbl.mem own) !progress_ids, List.length !progress_ids)
+  in
+  let other = Domain.spawn (fun () -> run_client batches.(1)) in
+  let mine = run_client batches.(0) in
+  let theirs = Domain.join other in
+  List.iteri
+    (fun k (outcomes, only_own, seen) ->
+      check bool (Printf.sprintf "client %d sees only its own jobs' frames" k) true only_own;
+      let total = ref 0 in
+      List.iter2
+        (fun case outcome ->
+          match outcome with
+          | Serve.Client.Finished { progress; _ } ->
+            total := !total + progress;
+            check int
+              (Printf.sprintf "client %d, %s %d: frames match a local run" k (fst case)
+                 (snd case))
+              (local_frames case) progress
+          | Serve.Client.Crashed { message; _ } -> Alcotest.fail message
+          | Serve.Client.Refused { reason } -> Alcotest.fail reason)
+        batches.(k) outcomes;
+      check int (Printf.sprintf "client %d: every frame counted once" k) !total seen)
+    [ mine; theirs ]
+
+(* an explicit worker count is clamped to the machine: more worker
+   domains than cores only contend for them *)
+let jobs_clamped_to_machine () =
+  let t = Serve.Scheduler.create ~jobs:8 () in
+  let workers = (Serve.Scheduler.stats t).Serve.Scheduler.workers in
+  Serve.Scheduler.shutdown t;
+  check bool "workers <= recommended domain count" true
+    (workers >= 1 && workers <= Domain.recommended_domain_count ())
+
 (* rejections: unknown engine and unparsable model, without burning a
    worker or the connection *)
 let submit_rejections () =
@@ -449,6 +514,9 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "batch verdicts match sequential" `Quick batch_matches_sequential;
+          Alcotest.test_case "progress frames reach only their job's client" `Quick
+            progress_routed_per_job;
+          Alcotest.test_case "worker count clamped to the machine" `Quick jobs_clamped_to_machine;
           Alcotest.test_case "bad submits are refused" `Quick submit_rejections;
           Alcotest.test_case "engine alias is accepted and stored canonically" `Quick
             alias_submit;
